@@ -1,6 +1,6 @@
 # Convenience targets for the TFMAE reproduction.
 
-.PHONY: install test lint lockcheck check bench bench-tables bench-figures perf jit-bench train-bench robustness chaos serve serve-bench multiproc-bench examples clean
+.PHONY: install test lint lockcheck check bench bench-tables bench-figures perf perfbench-test jit-bench train-bench robustness chaos serve serve-bench multiproc-bench examples clean
 
 install:
 	python setup.py develop
@@ -43,6 +43,11 @@ perf:
 	PYTHONPATH=src python benchmarks/bench_nn_kernels.py
 	PYTHONPATH=src pytest tests/nn/test_fused.py tests/core/test_batched_scoring.py -q
 	PYTHONPATH=src pytest benchmarks/bench_nn_kernels.py --benchmark-only -s
+
+# The repo benchmark's own tests (perfbench/, driven by BENCHMARK.json);
+# not part of tier-1, about a minute.
+perfbench-test:
+	python3 -m pytest perfbench/tests -q
 
 # Trace-compiled scoring: jit vs interpreted score_last.  Point
 # REPRO_BENCH_JIT_BASELINE at a pre-JIT checkout's src/ to also measure

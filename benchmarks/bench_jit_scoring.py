@@ -16,10 +16,22 @@ Two baselines are reported:
 * **PR-3 interpreted** — when ``REPRO_BENCH_JIT_BASELINE`` points at a
   PR-3-era checkout's ``src`` directory (``git worktree add /tmp/pr3
   <pr3-commit>`` → ``REPRO_BENCH_JIT_BASELINE=/tmp/pr3/src``), the same
-  fit + ``score_last`` timing runs there in a subprocess, giving the
-  true pre-JIT fused interpreted baseline the acceptance criterion names
-  (single-window ``score_last`` >= 2.0x, met by the stream configs; see
-  the committed ``BENCH_jit_scoring.json``).
+  fit runs there in a subprocess that times one ``score_last`` call per
+  request, giving the true pre-JIT fused interpreted baseline the
+  acceptance criterion names (single-window ``score_last`` >= 2.0x, met
+  by the stream configs; see the committed ``BENCH_jit_scoring.json``).
+
+All arms of a row are timed interleaved, one call each per round with
+the order rotating, and each reports its best round: a slow stretch on
+a shared host then hits every arm alike instead of one arm's block.
+
+A **mixed-batch** row then scores the serve-w100-d32 model over seeded
+permutations of batch sizes 1-32 — the micro-batch mix the serving
+scheduler and ``score_last`` chunking produce — with the JIT and
+interpreted arms interleaved call by call (alternating which goes first),
+every pair asserted bitwise equal.  It counts from a cold tape cache, so
+the JIT arm pays its one trace, and reports how many tapes the mix
+compiled: one, since a tape replays at any batch size.
 
 Run directly for the committed artifacts::
 
@@ -60,6 +72,11 @@ CONFIGS = {
 }
 BATCH_SIZES = (1, 32)
 REPEATS = int(os.environ.get("REPRO_BENCH_JIT_REPEATS", "60"))
+#: The mixed-batch row: its config, largest batch, and how many seeded
+#: permutations of 1..MIXED_MAX_BATCH it scores.
+MIXED_CONFIG = "serve-w100-d32"
+MIXED_MAX_BATCH = 32
+MIXED_ROUNDS = 3
 
 
 def _series(length: int, rng: np.random.Generator) -> np.ndarray:
@@ -85,19 +102,34 @@ def _windows(overrides: dict, batch: int) -> np.ndarray:
     )[:, :, None]
 
 
-def _best(fn, repeats: int = REPEATS, warmup: int = 8) -> float:
+def _timed(fn, use_jit: bool):
+    """An arm for :func:`_best_interleaved`: one timed ``fn()`` call."""
+    def arm() -> float:
+        with jit.use_jit(use_jit):
+            start = time.perf_counter()
+            fn()
+            return time.perf_counter() - start
+    return arm
+
+
+def _best_interleaved(arms: dict, repeats: int = REPEATS, warmup: int = 8) -> dict:
+    """Best seconds per arm; each round calls every arm once, rotating
+    which goes first."""
+    names = list(arms)
     for _ in range(warmup):
-        fn()
-    best = float("inf")
-    for _ in range(repeats):
-        start = time.perf_counter()
-        fn()
-        best = min(best, time.perf_counter() - start)
+        for name in names:
+            arms[name]()
+    best = dict.fromkeys(names, float("inf"))
+    for round_ in range(repeats):
+        shift = round_ % len(names)
+        for name in names[shift:] + names[:shift]:
+            best[name] = min(best[name], arms[name]())
     return best
 
 
 #: Runs inside the baseline checkout (no repro.nn.jit there): fit the
-#: same detector, time interpreted score_last, print one JSON line.
+#: same detector, then per stdin line (a batch size) time one interpreted
+#: score_last call and print its ms.
 _BASELINE_SCRIPT = """
 import json, sys, time
 import numpy as np
@@ -114,67 +146,122 @@ config = TFMAEConfig(batch_size=16, epochs=1, learning_rate=1e-3,
                      seed=spec["seed"], **spec["overrides"])
 detector = TFMAE(config)
 detector.fit(series(1200, rng), series(400, rng))
-out = {}
-for batch in spec["batches"]:
-    wrng = np.random.default_rng(spec["seed"] + 1)
-    windows = np.stack([series(spec["overrides"]["window_size"], wrng)[:, 0]
-                        for _ in range(batch)])[:, :, None]
-    for _ in range(spec["warmup"]):
-        detector.score_last(windows)
-    best = float("inf")
-    for _ in range(spec["repeats"]):
-        start = time.perf_counter()
-        detector.score_last(windows)
-        best = min(best, time.perf_counter() - start)
-    out[str(batch)] = best * 1e3
-print(json.dumps(out))
+windows = {}
+for line in sys.stdin:
+    batch = int(line)
+    if batch not in windows:
+        wrng = np.random.default_rng(spec["seed"] + 1)
+        windows[batch] = np.stack([series(spec["overrides"]["window_size"], wrng)[:, 0]
+                                   for _ in range(batch)])[:, :, None]
+    start = time.perf_counter()
+    detector.score_last(windows[batch])
+    print(json.dumps((time.perf_counter() - start) * 1e3), flush=True)
 """
 
 
-def _baseline_times(name: str, overrides: dict) -> dict[str, float] | None:
-    """PR-3 interpreted score_last ms per batch size, or None when unset."""
-    baseline = os.environ.get("REPRO_BENCH_JIT_BASELINE")
-    if not baseline:
-        return None
-    spec = {
-        "seed": SEED,
-        "overrides": overrides,
-        "batches": list(BATCH_SIZES),
-        "warmup": 8,
-        "repeats": REPEATS,
+class _Baseline:
+    """The pre-JIT interpreted detector in a subprocess, timed call by call."""
+
+    def __init__(self, path: str, overrides: dict):
+        spec = {"seed": SEED, "overrides": overrides}
+        self.proc = subprocess.Popen(
+            [sys.executable, "-c", _BASELINE_SCRIPT, json.dumps(spec)],
+            stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True,
+            env=dict(os.environ, PYTHONPATH=path),
+        )
+
+    def arm(self, batch: int):
+        """An arm for :func:`_best_interleaved` scoring ``batch`` windows."""
+        def call() -> float:
+            self.proc.stdin.write(f"{batch}\n")
+            self.proc.stdin.flush()
+            line = self.proc.stdout.readline()
+            if not line:
+                raise RuntimeError("baseline subprocess exited early")
+            return json.loads(line) / 1e3
+        return call
+
+    def close(self) -> None:
+        self.proc.stdin.close()
+        if self.proc.wait(timeout=60):
+            raise RuntimeError(f"baseline subprocess failed ({self.proc.returncode})")
+
+
+def _mixed_batch(detector: TFMAE, overrides: dict) -> dict:
+    """JIT vs interpreted ``score_last`` over seeded mixed batch sizes.
+
+    Arms run interleaved call by call, alternating which goes first, so
+    neither gets the warm cache; the tape cache starts cold.
+    """
+    rng = np.random.default_rng(SEED)
+    pool = _windows(overrides, MIXED_MAX_BATCH)
+    sizes = np.concatenate([rng.permutation(MIXED_MAX_BATCH) + 1
+                            for _ in range(MIXED_ROUNDS)])
+    model = detector.model
+    model._tapes.clear()
+    traces = model.jit_traces
+    times: dict[bool, list[float]] = {True: [], False: []}
+    for call, size in enumerate(sizes):
+        batch = pool[rng.integers(0, MIXED_MAX_BATCH, size=size)]
+        scores = {}
+        for arm in ((True, False) if call % 2 == 0 else (False, True)):
+            with jit.use_jit(arm):
+                start = time.perf_counter()
+                scores[arm] = detector.score_last(batch)
+                times[arm].append(time.perf_counter() - start)
+        if not np.array_equal(scores[True], scores[False]):
+            raise AssertionError(f"jit replay diverged from interpreted at B={size}")
+
+    def summary(samples: list[float]) -> dict:
+        ms = np.array(samples) * 1e3
+        return {"total_ms": round(float(ms.sum()), 3),
+                "p50_ms": round(float(np.percentile(ms, 50)), 4),
+                "p99_ms": round(float(np.percentile(ms, 99)), 4)}
+
+    return {
+        "calls": len(sizes),
+        "windows": int(sizes.sum()),
+        "jit": summary(times[True]),
+        "interpreted": summary(times[False]),
+        "speedup_vs_interpreted": round(sum(times[False]) / sum(times[True]), 3),
+        "tapes": len(model._tapes),
+        "traces": model.jit_traces - traces,
+        "bitwise": True,
     }
-    env = dict(os.environ, PYTHONPATH=baseline)
-    result = subprocess.run(
-        [sys.executable, "-c", _BASELINE_SCRIPT, json.dumps(spec)],
-        capture_output=True, text=True, env=env, check=True,
-    )
-    return json.loads(result.stdout.strip().splitlines()[-1])
 
 
 def run_jit_bench() -> tuple[str, dict]:
     rows = [
         "trace-compiled scoring: score_last wall-clock, jit vs interpreted",
-        f"(best of {REPEATS}; pr3_ms from REPRO_BENCH_JIT_BASELINE when set)",
+        f"(best of {REPEATS} interleaved rounds; pr3_ms from "
+        "REPRO_BENCH_JIT_BASELINE when set)",
         f"{'config':<22} {'batch':>5} {'interp_ms':>10} {'jit_ms':>8} "
         f"{'speedup':>8} {'pr3_ms':>8} {'vs_pr3':>7}",
     ]
     results: dict[str, dict] = {}
+    baseline_path = os.environ.get("REPRO_BENCH_JIT_BASELINE")
     for name, overrides in CONFIGS.items():
         detector = _fit_detector(overrides)
-        baseline = _baseline_times(name, overrides)
+        baseline = _Baseline(baseline_path, overrides) if baseline_path else None
         for batch in BATCH_SIZES:
             windows = _windows(overrides, batch)
             with jit.use_jit(False):
                 interp_scores = detector.score_last(windows)
-                interp = _best(lambda: detector.score_last(windows))
             with jit.use_jit(True):
                 jit_scores = detector.score_last(windows)
-                replay = _best(lambda: detector.score_last(windows))
             if not np.array_equal(interp_scores, jit_scores):
                 raise AssertionError(
                     f"jit replay diverged from interpreted at {name} B={batch}"
                 )
-            pr3_ms = baseline[str(batch)] if baseline else None
+            arms = {
+                "interp": _timed(lambda: detector.score_last(windows), False),
+                "jit": _timed(lambda: detector.score_last(windows), True),
+            }
+            if baseline is not None:
+                arms["pr3"] = baseline.arm(batch)
+            best = _best_interleaved(arms)
+            interp, replay = best["interp"], best["jit"]
+            pr3_ms = best["pr3"] * 1e3 if baseline is not None else None
             entry = {
                 "interpreted_ms": round(interp * 1e3, 4),
                 "jit_ms": round(replay * 1e3, 4),
@@ -194,6 +281,22 @@ def run_jit_bench() -> tuple[str, dict]:
                 f"{replay * 1e3:>8.3f} {interp / replay:>7.2f}x "
                 f"{pr3_text} {vs_text}"
             )
+        if baseline is not None:
+            baseline.close()
+    mixed = _mixed_batch(_fit_detector(CONFIGS[MIXED_CONFIG]), CONFIGS[MIXED_CONFIG])
+    rows.append("")
+    rows.append(
+        f"mixed batches: {MIXED_CONFIG}, {mixed['calls']} score_last calls over "
+        f"{MIXED_ROUNDS} seeded permutations of B=1..{MIXED_MAX_BATCH}, arms "
+        "interleaved, cold tape cache, bitwise asserted"
+    )
+    rows.append(f"{'arm':<12} {'total_ms':>10} {'p50_ms':>8} {'p99_ms':>8}")
+    for arm in ("interpreted", "jit"):
+        entry = mixed[arm]
+        rows.append(f"{arm:<12} {entry['total_ms']:>10.1f} {entry['p50_ms']:>8.3f} "
+                    f"{entry['p99_ms']:>8.3f}")
+    rows.append(f"speedup {mixed['speedup_vs_interpreted']:.2f}x; "
+                f"tapes compiled {mixed['tapes']} ({mixed['traces']} trace)")
     single = {
         key: entry for key, entry in results.items() if key.endswith("/B1")
     }
@@ -210,7 +313,7 @@ def run_jit_bench() -> tuple[str, dict]:
         f"acceptance: single-window score_last best speedup = {headline:.2f}x "
         f"({best_key}, target >= 2.0x vs PR 3 interpreted)"
     )
-    payload = {"results": results, "headline_single_window": {
+    payload = {"results": results, "mixed_batch": mixed, "headline_single_window": {
         "config": best_key, "speedup": headline,
         "baseline": "pr3" if "speedup_vs_pr3" in best else "in-tree",
     }}
@@ -230,6 +333,10 @@ def test_jit_scoring(benchmark):
     for key, entry in payload["results"].items():
         if key.endswith("/B1"):
             assert entry["speedup_vs_interpreted"] > 1.0, (key, entry)
+    # Mixed batch sizes compile one tape and the JIT is no slower.
+    mixed = payload["mixed_batch"]
+    assert mixed["tapes"] == 1, mixed
+    assert mixed["speedup_vs_interpreted"] >= 1.0, mixed
 
 
 def main() -> None:

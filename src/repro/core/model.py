@@ -19,6 +19,8 @@ which keeps the "w/o Fre"/"w/o Tem" rows of Table IV trainable.
 
 from __future__ import annotations
 
+import threading
+
 import numpy as np
 
 from .. import nn
@@ -36,6 +38,12 @@ __all__ = ["TemporalBranch", "FrequencyBranch", "TFMAEModel"]
 #: Negative-cache marker: this specialization key hit a trace-unsupported
 #: op; keep using the interpreted path without re-tracing every call.
 _UNSUPPORTED = object()
+
+#: Scoring-prelude slots whose leading axis is the batch (the positional
+#: encodings ``t_pe``/``f_pe`` are per window length, not per window);
+#: ``windows`` comes first, so it supplies a replay's batch size.
+_BATCHED_SLOTS = ("windows", "t_mask", "t_rows", "t_unmasked", "t_pe_unmasked",
+                  "f_fixed", "f_cos", "f_sin")
 
 
 class TemporalBranch(Module):
@@ -260,11 +268,19 @@ class TFMAEModel(Module):
         else:
             self.frequency = None
 
-        # Compiled scoring tapes keyed (window shape, compute dtype,
-        # fused policy); _UNSUPPORTED negative-caches untraceable keys.
-        # Capacity comes from config.jit_cache_size (REPRO_JIT_CACHE env
-        # overrides the default); evictions are counted for the benches.
+        # Compiled scoring tapes keyed (window length, features, compute
+        # dtype, fused policy) — one tape replays every batch size;
+        # _UNSUPPORTED negative-caches untraceable keys.  A least-recently
+        # used cache: a hit moves its entry to the end, and entries past
+        # config.jit_cache_size (REPRO_JIT_CACHE env overrides the
+        # default) are evicted from the front.  Traces, replays and
+        # evictions are counted for the benches.  Scoring threads share
+        # the cache; _tapes_lock guards its lookups and mutations, never a
+        # trace or a replay.
         self._tapes: dict = {}
+        self._tapes_lock = threading.Lock()
+        self.jit_traces = 0
+        self.jit_replays = 0
         self.jit_evictions = 0
 
         self._dual = self.temporal is not None and self.frequency is not None
@@ -382,8 +398,9 @@ class TFMAEModel(Module):
 
         When tape-replay scoring is enabled (:func:`repro.nn.jit.use_jit`,
         the default) the tensor-graph stage runs from a compiled tape
-        after the first call per (shape, dtype, fused-policy) key; replay
-        output is bitwise-identical to the interpreted graph.
+        after the first call per (window length, features, dtype,
+        fused-policy) key; the tape replays at any batch size, and its
+        output is bitwise-identical to the interpreted graph at that size.
         """
         if jit.jit_enabled():
             return self._jit_score(windows)
@@ -427,24 +444,33 @@ class TFMAEModel(Module):
 
     def _jit_score(self, windows: np.ndarray) -> np.ndarray:
         self._validate_windows(windows)
-        key = (windows.shape, self.compute_dtype, fused.fused_enabled())
+        _, length, features = windows.shape
+        key = (length, features, self.compute_dtype, fused.fused_enabled())
         with nn.no_grad(), nn.default_dtype(self.compute_dtype):
             slots = self._score_prelude(windows)
-            tape = self._tapes.get(key)
-            if tape is _UNSUPPORTED:
+            with self._tapes_lock:
+                tape = self._tapes.pop(key, None)
+                if tape is not None:
+                    self._tapes[key] = tape  # a hit refreshes its LRU position
+            if tape is _UNSUPPORTED or not len(windows):
                 score = self._score_graph(slots)
                 return self._score_post(score.data, interpreted=True)
             if tape is not None:
                 if tape.guards_ok():
+                    self.jit_replays += 1
                     return self._score_post(tape.replay(slots))
                 # A parameter array was rebound (checkpoint load, publish,
                 # dtype cast): every cached tape refers to stale arrays.
-                self._tapes.clear()
+                with self._tapes_lock:
+                    self._tapes.clear()
+            self.jit_traces += 1
             out, tape = jit.trace(
-                lambda: self._score_graph(slots), slots, self.parameters()
+                lambda: self._score_graph(slots), slots, self.parameters(),
+                _BATCHED_SLOTS,
             )
-            self._tapes[key] = tape if tape is not None else _UNSUPPORTED
-            while len(self._tapes) > self.config.jit_cache_size:
-                self._tapes.pop(next(iter(self._tapes)))
-                self.jit_evictions += 1
+            with self._tapes_lock:
+                self._tapes[key] = tape if tape is not None else _UNSUPPORTED
+                while len(self._tapes) > self.config.jit_cache_size:
+                    self._tapes.pop(next(iter(self._tapes)))
+                    self.jit_evictions += 1
             return self._score_post(out.data, interpreted=True)

@@ -22,7 +22,18 @@ never uses.  This module removes all of it from the scoring hot path:
 3. **Replay** — subsequent calls with the same specialization key call
    the generated function over a per-thread buffer frame: zero tensor
    wrapping, zero graph construction, zero per-step dispatch, zero
-   per-op allocation for the buffered steps.
+   per-op allocation for the buffered steps.  The batch dimension is
+   symbolic, so one tape replays at any batch size: the caller names
+   its batched input slots, :func:`_batch_flags` works out from the
+   dataflow which steps carry the batch, the planner pools those
+   buffers by trailing shape, and the generated code reads the batch
+   ``b`` from the slots, hoists ``f<i> = frame[i][:b]`` views and
+   leads reshape targets with ``b``.  Each thread's frame is planned
+   at the largest batch it has replayed and regrown, without
+   retracing, when a larger one arrives.  A graph that mixes rows
+   across the batch (a reduction or concat over axis 0, a reshape or
+   transpose moving it, a constant index on it) is not
+   batch-polymorphic and raises :class:`TraceUnsupported`.
 
 Argument references are resolved **by identity** at trace time:
 
@@ -253,13 +264,16 @@ class _TapeBuilder:
         return meta
 
 
-def trace(fn, slots: dict, params):
+def trace(fn, slots: dict, params, batched):
     """Run ``fn()`` once under the tape builder.
 
-    Returns ``(out, tape)`` where ``out`` is the traced call's own
-    result tensor (always valid — use it for this call's answer) and
-    ``tape`` is a compiled :class:`Tape`, or ``None`` when the forward
-    hit a trace-unsupported op (negative-cache the key and stay on the
+    ``batched`` names the input slots whose leading axis is the batch;
+    the first one present in ``slots`` supplies the batch size on every
+    replay.  Returns ``(out, tape)`` where ``out`` is the traced call's
+    own result tensor (always valid — use it for this call's answer) and
+    ``tape`` is a compiled :class:`Tape` replayable at any batch size,
+    or ``None`` when the forward hit a trace-unsupported op or is not
+    batch-polymorphic (negative-cache the key and stay on the
     interpreted path).
     """
     builder = _TapeBuilder(slots, params)
@@ -268,7 +282,7 @@ def trace(fn, slots: dict, params):
     if builder.failed is not None or id(out) not in builder.tensor_step:
         return out, None
     try:
-        tape = Tape(builder, id(out))
+        tape = Tape(builder, id(out), slots, batched)
     except TraceUnsupported:
         return out, None
     return out, tape
@@ -337,6 +351,130 @@ def _scratch_specs(step: _Step):
     return ()
 
 
+# ----------------------------------------------------------------------
+# batch polymorphism: which step outputs carry the batch on axis 0
+# ----------------------------------------------------------------------
+def _axes(axis, ndim: int) -> tuple:
+    """``axis`` (``None``, an int or a tuple) as non-negative axes."""
+    if axis is None:
+        return tuple(range(ndim))
+    return tuple(a % ndim for a in (axis if isinstance(axis, tuple) else (axis,)))
+
+
+def _broadcast(out: np.ndarray, operands) -> bool:
+    """Broadcasting rule over ``(array, batched)`` operands.
+
+    The output is batched when any operand is.  Each batched operand
+    must span every output axis (so its axis 0 is the output's), and no
+    unbatched operand may stretch along axis 0.
+    """
+    if not any(flag for _, flag in operands):
+        return False
+    for array, flag in operands:
+        if flag and array.ndim != out.ndim:
+            raise TraceUnsupported("a batched operand does not lead the broadcast")
+        if not flag and array.ndim == out.ndim and array.shape[0] != 1:
+            raise TraceUnsupported("an unbatched operand spans the batch axis")
+    return True
+
+
+def _index_batched(spec, source_batched: bool, slots: dict, batched) -> bool:
+    """Whether an index creates the batch on axis 0.
+
+    Batched integer index arrays of equal rank must lead the index, with
+    only non-array constants after them: their broadcast shape, batch
+    first, then leads the result.  Any other index on a batched source
+    touches its batch axis, and a batched index array behind a leading
+    constant puts the batch on a later axis; both are rejected.
+    """
+    tag, payload = spec
+    elements = payload if tag == "tuple" else (payload,)
+    lead = 0
+    while (lead < len(elements) and elements[lead][0] == _SLOT
+           and elements[lead][1] in batched):
+        lead += 1
+    if not lead:
+        if source_batched:
+            raise TraceUnsupported("an index on the batch axis")
+        if any(kind == _SLOT and obj in batched for kind, obj in elements):
+            raise TraceUnsupported("a batched index behind the leading axis")
+        return False
+    arrays = [slots[name] for _, name in elements[:lead]]
+    if any(a.dtype.kind not in "iu" or a.ndim != arrays[0].ndim for a in arrays):
+        raise TraceUnsupported("batched index arrays must be integer, equal rank")
+    for kind, obj in elements[lead:]:
+        if kind != _CONST or isinstance(obj, np.ndarray):
+            raise TraceUnsupported("an array index beside the batch axis")
+    return True
+
+
+def _batch_flags(steps, out_step: int, slots: dict, batched) -> list[bool]:
+    """Per step, whether its output carries the batch on axis 0.
+
+    Worked out from the dataflow alone — a batched slot is batched, a
+    parameter or constant is not, and each op's rule propagates the
+    flags — never by comparing a dimension to the traced batch size,
+    which would collide whenever it equals a window, head or model
+    dimension.  Raises :class:`TraceUnsupported` for any step that would
+    mix rows across the batch (a reduction or concat over axis 0, a
+    reshape or transpose moving it, a constant index on it) and when the
+    output is not batched.
+    """
+    flags: list[bool] = []
+    for step in steps:
+        op, out, meta = step.op, step.out_data, step.meta or {}
+        operands = [
+            (data, flags[payload] if kind == _STEP
+             else kind == _SLOT and payload in batched)
+            for (kind, payload), data in zip(step.refs, step.parent_datas)
+        ]
+        x, first = operands[0]
+        if op in ("sum", "max", "max_stat", "fused_softmax", "fused_log_softmax"):
+            if first and 0 in _axes(meta["axis"], x.ndim):
+                raise TraceUnsupported(f"{op} reduces over the batch axis")
+            flag = first
+        elif op == "transpose":
+            if first and meta["axes"][0] % x.ndim != 0:
+                raise TraceUnsupported("transpose moves the batch axis")
+            flag = first
+        elif op == "reshape":
+            # The target's leading dimension must be the source's, with
+            # the trailing ones regrouped per row.
+            if first and (out.ndim == 0 or out.shape[0] != x.shape[0]):
+                raise TraceUnsupported("reshape moves the batch axis")
+            flag = first
+        elif op in ("concat", "stack"):
+            flag = any(f for _, f in operands)
+            if flag and (not all(f for _, f in operands)
+                         or _axes(meta["axis"], out.ndim) == (0,)):
+                raise TraceUnsupported(f"{op} over the batch axis")
+        elif op in ("getitem", "scatter"):
+            flag = _index_batched(meta["index"], first, slots, batched)
+            if op == "scatter" and (flag != first
+                                    or (flag and out.shape[0] != x.shape[0])):
+                raise TraceUnsupported("scatter moves the batch axis")
+        elif op in ("matmul", "fused_attention"):
+            # The batch must be a stacking axis, never a matrix axis; and
+            # attention sizes its scratch from q, so q/k/v agree.
+            if any(f and a.ndim < 3 for a, f in operands):
+                raise TraceUnsupported(f"{op} contracts the batch axis")
+            if op == "fused_attention" and any(f != first for _, f in operands):
+                raise TraceUnsupported("attention over a partly batched q/k/v")
+            flag = _broadcast(out, [(a, f) for a, f in operands if a.ndim > 2])
+        else:  # elementwise; where's condition is one more operand
+            if op == "where":
+                kind, cond = meta["condition"]
+                operands.append((slots[cond], cond in batched) if kind == _SLOT
+                                else (np.asarray(cond), False))
+            if op == "fused_layer_norm" and first and x.ndim < 2:
+                raise TraceUnsupported("layer norm over the batch axis")
+            flag = _broadcast(out, operands)
+        flags.append(flag)
+    if not flags[out_step]:
+        raise TraceUnsupported("the output does not carry the batch")
+    return flags
+
+
 class _Codegen:
     """Accumulates the generated replay source and its constant pool.
 
@@ -349,12 +487,15 @@ class _Codegen:
     raw numpy kernel sequence.
     """
 
-    def __init__(self):
+    def __init__(self, batched=()):
         self.lines: list[str] = []
         self.consts: list = []
         self.slot_vars: dict[str, str] = {}
         self.slot_lines: list[str] = []
         self.used_buffers: set[int] = set()
+        #: steps whose output leads with the symbolic batch ``b`` (scoring
+        #: tapes only; train-step tapes keep every shape concrete).
+        self.batched = frozenset(batched)
 
     def const(self, obj) -> str:
         self.consts.append(obj)
@@ -405,6 +546,12 @@ class _Codegen:
         parts = ", ".join(self.obj(element) for element in payload)
         return f"({parts},)"
 
+    def shape(self, i: int, shape: tuple) -> str:
+        """Target-shape literal for step ``i``: batched steps lead with ``b``."""
+        if i in self.batched:
+            return "(b, " + "".join(f"{int(d)}, " for d in shape[1:]) + ")"
+        return self.lit(shape)
+
     def buf(self, buf_id: int) -> str:
         self.used_buffers.add(buf_id)
         return f"f{buf_id}"
@@ -416,17 +563,27 @@ class _Codegen:
 class Tape:
     """A compiled scoring tape: one generated function over planned buffers.
 
-    Buffers live in a **per-thread frame** (created lazily on first
-    replay on each thread), so concurrent serving workers replaying the
-    same tape never collide, while repeated calls on one thread reuse
-    the same memory with zero allocation for buffered steps.
+    The batch dimension is symbolic: steps carrying the batch (see
+    :func:`_batch_flags`) take their leading dimension from the replayed
+    slots, so one tape serves every batch size.  Buffers live in a
+    **per-thread frame** (created lazily on first replay on each
+    thread), so concurrent serving workers replaying the same tape never
+    collide, while repeated calls on one thread reuse the same memory
+    with zero allocation for buffered steps.  A frame is planned at the
+    largest batch its thread has replayed; batched buffers are replayed
+    as leading-row views of it.
     """
 
-    def __init__(self, builder: _TapeBuilder, out_id: int):
+    def __init__(self, builder: _TapeBuilder, out_id: int, slots: dict, batched):
         steps = builder.steps
         self._guards = tuple(builder.guards)
         self._out_step = builder.tensor_step[out_id]
         self._tls = threading.local()
+        batched = [name for name in batched if isinstance(slots.get(name), np.ndarray)]
+        if not batched or not slots[batched[0]].shape[0]:
+            raise TraceUnsupported("tracing needs a non-empty batched slot")
+        self._batch_slot = batched[0]
+        flags = _batch_flags(steps, self._out_step, slots, frozenset(batched))
 
         n = len(steps)
         kinds = [None] * n
@@ -461,46 +618,51 @@ class Tape:
             if kinds[i] == "buffer":
                 deaths.setdefault(last_use.get(i, i), []).append(i)
 
-        specs: list[tuple[tuple[int, ...], np.dtype]] = []
+        # Buffers are pooled per (batched, dims, dtype): a batched
+        # buffer's dims are its trailing shape — its leading one is the
+        # replay batch — and every scratch buffer of a batched step is
+        # batched too.
+        specs: list[tuple[bool, tuple[int, ...], np.dtype]] = []
         free: dict[tuple, list[tuple[int, int]]] = {}
         buffer_of: dict[int, int] = {}
 
-        def acquire(shape, dtype, at):
-            key = (shape, str(dtype))
+        def spec(shape, dtype, batch) -> tuple:
+            return (batch, tuple(shape[1:] if batch else shape), np.dtype(dtype))
+
+        def acquire(shape, dtype, at, batch):
+            key = spec(shape, dtype, batch)
             pool = free.get(key)
             if pool:
                 for slot, (buf_id, avail_from) in enumerate(pool):
                     if avail_from <= at:
                         pool.pop(slot)
                         return buf_id
-            specs.append((shape, np.dtype(dtype)))
+            specs.append(key)
             return len(specs) - 1
 
-        def release(buf_id, shape, dtype, avail_from):
-            free.setdefault((shape, str(dtype)), []).append((buf_id, avail_from))
+        def release(buf_id, avail_from):
+            free.setdefault(specs[buf_id], []).append((buf_id, avail_from))
 
-        codegen = _Codegen()
+        codegen = _Codegen(i for i, flag in enumerate(flags) if flag)
         for i, step in enumerate(steps):
             buf_id = None
             scratch_ids = []
             if kinds[i] == "buffer":
                 shape, dtype = step.out_data.shape, step.out_data.dtype
-                buf_id = acquire(shape, dtype, i)
+                buf_id = acquire(shape, dtype, i, flags[i])
                 buffer_of[i] = buf_id
-                scratch = _scratch_specs(step)
-                for s_shape, s_dtype in scratch:
-                    scratch_ids.append(acquire(s_shape, s_dtype, i))
-                for sid, (s_shape, s_dtype) in zip(scratch_ids, scratch):
-                    release(sid, s_shape, s_dtype, i + 1)
+                for s_shape, s_dtype in _scratch_specs(step):
+                    scratch_ids.append(acquire(s_shape, s_dtype, i, flags[i]))
+                for sid in scratch_ids:
+                    release(sid, i + 1)
             _COMPILERS[step.op](codegen, i, step, kinds[i], buf_id, scratch_ids)
             # Buffers whose root dies here become reusable from i + 1 —
             # never at i itself, so a kernel cannot alias its own inputs.
             for root in deaths.get(i, ()):
-                owner = steps[root].out_data
-                release(buffer_of[root], owner.shape, owner.dtype, i + 1)
+                release(buffer_of[root], i + 1)
 
         frame_lines = [
-            f"    f{buf_id} = frame[{buf_id}]"
+            f"    f{buf_id} = frame[{buf_id}]" + ("[:b]" if specs[buf_id][0] else "")
             for buf_id in sorted(codegen.used_buffers)
         ]
         body = (
@@ -520,7 +682,7 @@ class Tape:
             key=len,
             reverse=True,
         )
-        header_args = "slots, frame"
+        header_args = "slots, frame, b"
         for name in hoisted:
             local = "np_" + name.replace(".", "_")
             body = [line.replace(f"np.{name}(", f"{local}(") for line in body]
@@ -539,6 +701,11 @@ class Tape:
         self.num_steps = n
         self.num_buffers = len(specs)
 
+    @property
+    def frame_batch(self) -> int:
+        """The batch this thread's frame is planned at (0 before replay)."""
+        return getattr(self._tls, "batch", 0)
+
     def guards_ok(self) -> bool:
         """True while every traced parameter still binds its traced array."""
         for param, data in self._guards:
@@ -552,12 +719,19 @@ class Tape:
         The result may live in a reused frame buffer — callers that
         retain it across calls must copy.
         """
-        frame = getattr(self._tls, "frame", None)
-        if frame is None:
-            frame = self._tls.frame = [
-                np.empty(shape, dtype) for shape, dtype in self._frame_specs
+        batch = slots[self._batch_slot].shape[0]
+        tls = self._tls
+        if batch > getattr(tls, "batch", 0):
+            # Plan (or regrow) this thread's frame at the largest batch
+            # it has replayed; the old frame goes first so the two never
+            # coexist.
+            tls.frame = None
+            tls.frame = [
+                np.empty((batch, *dims) if batched else dims, dtype)
+                for batched, dims, dtype in self._frame_specs
             ]
-        return self._fn(slots, frame)
+            tls.batch = batch
+        return self._fn(slots, tls.frame, batch)
 
 
 # ----------------------------------------------------------------------
@@ -635,7 +809,8 @@ def _emit_transpose(cg, i, step, kind, buf_id, scratch_ids):
 
 
 def _emit_reshape(cg, i, step, kind, buf_id, scratch_ids):
-    cg.emit(f"e{i} = {cg.ref(step.refs[0])}.reshape({cg.lit(step.meta['shape'])})")
+    target = cg.shape(i, step.out_data.shape)
+    cg.emit(f"e{i} = {cg.ref(step.refs[0])}.reshape({target})")
 
 
 def _emit_getitem(cg, i, step, kind, buf_id, scratch_ids):

@@ -1343,6 +1343,8 @@ class TrainStep:
             arr = np.asarray(windows)
             key = (arr.shape, str(arr.dtype), fused_enabled())
             tape = self._tapes.get(key)
+            if tape is not None:
+                self._tapes[key] = self._tapes.pop(key)  # refresh LRU position
             if tape is _UNSUPPORTED:
                 self.fallbacks += 1
                 return _InterpretedHandle(model, slots, self.optimizer)

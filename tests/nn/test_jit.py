@@ -6,19 +6,23 @@ mirrors the exact numpy call sequence of its op, so these tests use
 ``np.array_equal``, never ``allclose``.  Coverage spans the same five
 model variants ``repro analyze --all`` checks (default, float32,
 temporal-only, frequency-only, non-adversarial) at both compute dtypes
-and both fused-policy states.
+and both fused-policy states.  One tape serves every batch size, so the
+equivalence is checked at batch sizes other than the traced one too.
 """
 
 from __future__ import annotations
 
+import sys
 import threading
 
 import numpy as np
 import pytest
 
 from repro.core import TFMAE, TFMAEConfig
-from repro.core.model import _UNSUPPORTED
-from repro.nn import fused, jit
+from repro.core.model import _UNSUPPORTED, TFMAEModel
+from repro.nn import Tensor, fused, jit, no_grad
+from repro.nn.jit_train import TrainStep
+from repro.nn.optim import Adam
 
 
 def _sine_series(rng, length, features=1):
@@ -69,9 +73,10 @@ def _fitted(variant: str, dtype: str) -> TFMAE:
     return detector
 
 
-def _windows(detector: TFMAE, batch: int = 3) -> np.ndarray:
-    rng = np.random.default_rng(7)
-    size = detector.config.window_size
+def _windows(detector: TFMAE, batch: int = 3, size: int | None = None,
+             seed: int = 7) -> np.ndarray:
+    rng = np.random.default_rng(seed)
+    size = size or detector.config.window_size
     return np.stack([_sine_series(rng, size) for _ in range(batch)])
 
 
@@ -116,6 +121,92 @@ class TestBitwiseEquivalence:
             snapshot = first.copy()
             detector.model.score_windows(windows * 2.0)
         assert np.array_equal(first, snapshot)
+
+
+#: Graphs that are not batch-polymorphic, with their numpy reference.
+#: Each takes the windows tensor and the slots; ``t_pe`` is unbatched and
+#: ``t_unmasked`` a batched index array.
+_NOT_POLYMORPHIC = {
+    "sum over axis 0": (lambda x, s: x.sum(axis=0), lambda a, s: a.sum(axis=0)),
+    "reshape merging the batch": (lambda x, s: x.reshape(-1, 2),
+                                  lambda a, s: a.reshape(-1, 2)),
+    "transpose moving the batch": (lambda x, s: x.transpose(1, 0, 2),
+                                   lambda a, s: a.transpose(1, 0, 2)),
+    "constant index on axis 0": (lambda x, s: x[0] * 2.0, lambda a, s: a[0] * 2.0),
+    "concat over axis 0": (lambda x, s: Tensor.concat([x, x], axis=0),
+                           lambda a, s: np.concatenate([a, a], axis=0)),
+    # pe[:, idx] puts the batch on axis 1 of an unbatched source.
+    "batched index behind a slice": (
+        lambda x, s: x + Tensor(s["t_pe"])[:, s["t_unmasked"]].transpose(1, 0, 2),
+        lambda a, s: a + s["t_pe"][:, s["t_unmasked"]].transpose(1, 0, 2)),
+}
+
+
+class TestBatchPolymorphism:
+    @pytest.mark.parametrize("dtype", DTYPES)
+    @pytest.mark.parametrize("variant", sorted(VARIANTS))
+    @pytest.mark.parametrize("use_fused", [True, False])
+    def test_one_tape_replays_every_batch(self, variant, dtype, use_fused):
+        """Trace at batch 5, replay at 1, 5, 8 (frame growth), 3 (after
+        growth) and then every size 1-32: each replay equals the
+        interpreter at its own batch."""
+        detector = _fitted(variant, dtype)
+        model = detector.model
+        model._tapes.clear()
+        with fused.use_fused(use_fused):
+            with jit.use_jit(True):
+                model.score_windows(_windows(detector, batch=5))  # trace
+            (tape,) = model._tapes.values()
+            sweep = [(batch, max(batch, 8)) for batch in range(1, 33)]
+            for batch, planned in [(1, 1), (5, 5), (8, 8), (3, 8), *sweep]:
+                windows = _windows(detector, batch=batch, seed=batch)
+                with jit.use_jit(False):
+                    interpreted = model.score_windows(windows)
+                with jit.use_jit(True):
+                    replayed = model.score_windows(windows)
+                assert np.array_equal(interpreted, replayed), batch
+                assert tape.frame_batch == planned
+        assert list(model._tapes.values()) == [tape]
+
+    def test_batch_sizes_share_one_trace(self):
+        detector = _fitted("default", "float64")
+        model = detector.model
+        with jit.use_jit(True):
+            model.score_windows(_windows(detector, batch=4))  # warm
+            traces, replays = model.jit_traces, model.jit_replays
+            for batch in range(1, 33):
+                model.score_windows(_windows(detector, batch=batch))
+        assert model.jit_traces - traces == 0
+        assert model.jit_replays - replays == 32
+
+    def test_empty_batch_neither_traces_nor_poisons_the_key(self):
+        detector = _fitted("default", "float64")
+        model = detector.model
+        model._tapes.clear()
+        empty = np.zeros((0, detector.config.window_size, 1))
+        with jit.use_jit(True):
+            assert model.score_windows(empty).shape == (0, detector.config.window_size)
+            assert not model._tapes
+            model.score_windows(_windows(detector, batch=2))
+            assert model.score_windows(empty).shape == (0, detector.config.window_size)
+        assert _UNSUPPORTED not in model._tapes.values()
+
+    @pytest.mark.parametrize("batch", [1, 3])
+    @pytest.mark.parametrize("graph", sorted(_NOT_POLYMORPHIC))
+    def test_trace_rejects_non_polymorphic_graphs(self, graph, batch):
+        """Graphs whose rows depend on other rows, or whose batch leaves
+        axis 0, get no tape at any traced batch size; the traced call
+        still returns its interpreted result."""
+        fn, expected = _NOT_POLYMORPHIC[graph]
+        rng = np.random.default_rng(batch)
+        slots = {"windows": np.arange(batch * 8.0).reshape(batch, 4, 2),
+                 "t_pe": rng.standard_normal((4, 5)),
+                 "t_unmasked": rng.integers(0, 5, size=(batch, 2))}
+        with no_grad():
+            out, tape = jit.trace(lambda: fn(Tensor(slots["windows"]), slots), slots,
+                                  (), ("windows", "t_unmasked"))
+        assert tape is None
+        assert np.array_equal(out.data, expected(slots["windows"], slots))
 
 
 class TestGuards:
@@ -179,16 +270,44 @@ class TestTapeCache:
         with jit.use_jit(True):
             model.score_windows(_windows(detector, batch=2))
             assert len(model._tapes) == 1
-            model.score_windows(_windows(detector, batch=2))
-            assert len(model._tapes) == 1  # same key, cache hit
             model.score_windows(_windows(detector, batch=5))
-            assert len(model._tapes) == 2  # new batch shape
+            assert len(model._tapes) == 1  # batch sizes share one tape
+            model.score_windows(_windows(detector, batch=2, size=40))
+            assert len(model._tapes) == 2  # window length in the key
             with fused.use_fused(False):
                 model.score_windows(_windows(detector, batch=2))
             assert len(model._tapes) == 3  # fused policy in the key
         keys = set(model._tapes)
-        assert {key[0][0] for key in keys} == {2, 5}
-        assert {key[2] for key in keys} == {True, False}
+        assert {key[0] for key in keys} == {30, 40}
+        assert {key[1:3] for key in keys} == {(1, np.dtype("float64"))}
+        assert {key[3] for key in keys} == {True, False}
+
+    def test_scoring_cache_is_lru(self):
+        """Window lengths A B A C at capacity two: the hit on A refreshes
+        it, so C evicts B."""
+        model = TFMAEModel(1, TFMAEConfig(window_size=30, d_model=8, num_layers=1,
+                                          num_heads=2, jit_cache_size=2, seed=0))
+        rng = np.random.default_rng(3)
+        with jit.use_jit(True):
+            for length in (30, 40, 30, 50):
+                model.score_windows(_sine_series(rng, length)[None])
+        assert [key[0] for key in model._tapes] == [30, 50]
+        assert model.jit_evictions == 1
+
+    def test_train_step_cache_is_lru(self):
+        config = TFMAEConfig(window_size=30, d_model=8, num_layers=1, num_heads=2,
+                             jit_cache_size=2, seed=0)
+        model = TFMAEModel(1, config)
+        step = TrainStep(model, Adam(model.parameters(), lr=1e-3),
+                         cache_size=config.jit_cache_size)
+        rng = np.random.default_rng(3)
+        for batch in (2, 3, 2, 4):
+            windows = np.stack([_sine_series(rng, 30) for _ in range(batch)])
+            handle = step.begin(windows)
+            handle.backward()
+            handle.apply_update()
+        assert [key[0][0] for key in step._tapes] == [2, 4]
+        assert step.evictions == 1
 
 
 class TestFallback:
@@ -313,3 +432,88 @@ class TestJitThreadLocal:
         self._run_both(lambda: worker("a"), lambda: worker("b"))
         assert np.array_equal(results["a"], expected)
         assert np.array_equal(results["b"], expected)
+
+    def test_concurrent_replay_at_different_batches(self):
+        """One tape, more threads than cores, different batch sizes at
+        once: each thread grows its own frame and stays bitwise."""
+        detector = _fitted("default", "float64")
+        model = detector.model
+        model._tapes.clear()
+        batches = ((1, 6, 2, 9), (12, 3, 16, 5), (4, 20, 1, 7))
+        windows = {b: _windows(detector, batch=b, seed=b)
+                   for sizes in batches for b in sizes}
+        with jit.use_jit(False):
+            expected = {b: model.score_windows(w) for b, w in windows.items()}
+        with jit.use_jit(True):
+            model.score_windows(windows[6])  # trace
+        (tape,) = model._tapes.values()
+        barrier = threading.Barrier(len(batches))
+        mismatches, errors = [], []
+
+        def worker(sizes):
+            try:
+                barrier.wait(timeout=10)
+                with jit.use_jit(True):
+                    for _ in range(10):
+                        for batch in sizes:
+                            scores = model.score_windows(windows[batch])
+                            if not np.array_equal(scores, expected[batch]):
+                                mismatches.append(batch)
+            except BaseException as error:  # pragma: no cover
+                errors.append(error)
+
+        threads = [threading.Thread(target=worker, args=(sizes,)) for sizes in batches]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == [] and mismatches == []
+        assert list(model._tapes.values()) == [tape]
+
+    def test_threads_evicting_one_entry_cache(self):
+        """Two window lengths at jit_cache_size=1: every call misses, traces
+        and evicts the other thread's entry while hits refresh theirs."""
+        model = TFMAEModel(1, TFMAEConfig(window_size=30, d_model=8, num_layers=1,
+                                          num_heads=2, jit_cache_size=1, seed=0))
+        rng = np.random.default_rng(5)
+        windows = {(length, batch): np.stack([_sine_series(rng, length)
+                                              for _ in range(batch)])
+                   for length in (30, 40) for batch in (1, 3)}
+        with jit.use_jit(False):
+            expected = {key: model.score_windows(w) for key, w in windows.items()}
+        orders = (((30, 1), (40, 3)), ((40, 1), (30, 3)), ((30, 3), (30, 1), (40, 1)))
+        barrier = threading.Barrier(len(orders))
+        mismatches, errors = [], []
+
+        def worker(keys):
+            try:
+                barrier.wait(timeout=10)
+                with jit.use_jit(True):
+                    for _ in range(8):
+                        for key in keys:
+                            scores = model.score_windows(windows[key])
+                            if not np.array_equal(scores, expected[key]):
+                                mismatches.append(key)
+            except BaseException as error:  # pragma: no cover
+                errors.append(error)
+
+        threads = [threading.Thread(target=worker, args=(keys,)) for keys in orders]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == [] and mismatches == []
+        assert len(model._tapes) == 1
+        assert model.jit_evictions > 0
