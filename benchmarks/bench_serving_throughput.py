@@ -13,9 +13,9 @@ Client-side latency lands in a :class:`repro.serve.metrics.Histogram`
 achieved coalescing is reported from the batcher's own
 ``serve_batch_size`` histogram.
 
-Every row runs twice — interpreted and tape-replay (``jit=`` on the
-batcher) — so the table separates what coalescing buys from what
-trace-compiled scoring buys end to end.
+Every row runs twice — interpreted and tape-replay (the process-wide
+:func:`repro.nn.jit.set_jit` default) — so the table separates what
+coalescing buys from what trace-compiled scoring buys end to end.
 
 Expected shape: on multi-core runners throughput rises with the
 batch-size budget (vectorized ``score_windows`` amortises Python and
@@ -37,6 +37,7 @@ import time
 import numpy as np
 
 from repro import TFMAE, TFMAEConfig
+from repro.nn import jit as nn_jit
 from repro.serve import MicroBatcher
 from repro.serve.metrics import Histogram
 from repro.datasets import get_dataset
@@ -65,14 +66,23 @@ def _fit_detector() -> tuple[TFMAE, np.ndarray]:
 def _run_config(
     detector: TFMAE, test: np.ndarray, max_batch_size: int, use_jit: bool = True
 ) -> dict:
+    # The batcher's worker threads read the process-wide default, so the
+    # interpreted arm flips it for the duration of the row.
+    nn_jit.set_jit(use_jit)
+    try:
+        return _drive(detector, test, max_batch_size)
+    finally:
+        nn_jit.set_jit(True)
+
+
+def _drive(detector: TFMAE, test: np.ndarray, max_batch_size: int) -> dict:
     windows = [test[i : i + WINDOW] for i in range(0, REQUESTS)]
     latency = Histogram(capacity=REQUESTS)
     errors: list[BaseException] = []
 
     with MicroBatcher(detector_for=lambda key: detector,
                       max_batch_size=max_batch_size, max_delay=MAX_DELAY,
-                      max_queue=REQUESTS + CLIENTS, workers=WORKERS,
-                      jit=use_jit) as batcher:
+                      max_queue=REQUESTS + CLIENTS, workers=WORKERS) as batcher:
 
         def client(offsets: range) -> None:
             for offset in offsets:

@@ -16,8 +16,8 @@ reporters, and per-line ``# repro: noqa[CODE]`` suppression policy
 Rules: ``LOCK002`` (lock-order inversion — a cycle in the "A held while
 acquiring B" graph), ``BLK001`` (blocking I/O while holding a lock that
 is not declared ``blocking_ok``), ``TLS001`` (misuse of the
-``set_*``/``use_*`` thread-local policy trios; this one is per-file and
-also runs under ``analyze lint``).  The dynamic complement — observing
+:mod:`repro.nn.policy` switches; this one is per-file and also runs
+under ``analyze lint``).  The dynamic complement — observing
 the graph the process actually builds — is
 :mod:`repro.analysis.lockcheck`.
 """

@@ -17,11 +17,11 @@
     their ordering is still tracked by LOCK002.
 
 ``TLS001`` — thread-local policy discipline
-    The ``set_*``/``use_*`` policy trios (``nn/fused``, ``nn/jit``,
-    ``nn/jit_train``, ``nn/dtype``) pair a process-wide default with a
-    thread-local, context-manager override.  Three misuses are flagged:
-    a bare ``use_*(...)`` expression that builds the context manager and
-    never enters it (silently a no-op), ``with set_*(...)`` (the setter
+    Every :mod:`repro.nn.policy` switch pairs a process-wide default
+    (``set_*``) with a thread-local, context-manager override (``use_*``,
+    ``default_dtype``, ``no_grad``).  Three misuses are flagged: a bare
+    override expression that builds the context manager and never
+    enters it (silently a no-op), ``with set_*(...)`` (the setter
     is not a context manager; the ``with`` raises at runtime or, worse,
     the "scope" never ends), and ``set_*`` calls inside the serving
     stack, where a process-global flip races every other request thread.

@@ -1,14 +1,13 @@
 """TLS001: the ``set_*``/``use_*`` thread-local policy discipline.
 
-The policy trios (``nn/fused``: ``set_fused``/``use_fused``, ``nn/jit``:
-``set_jit``/``use_jit``, ``nn/jit_train``: ``set_train_jit``/
-``use_train_jit``, ``nn/dtype``: ``set_default_dtype``/
-``default_dtype``) pair a process-wide default with a thread-local,
-context-manager-scoped override.  Three misuses are flagged: a bare
-``use_*(...)`` expression that builds the context manager and never
-enters it (silently a no-op), ``with set_*(...)`` (the setter is not a
-context manager), and ``set_*`` calls inside the serving stack, where a
-process-global flip races every other request thread.
+Every :class:`repro.nn.policy.Switch` pairs a process-wide default (its
+setter, e.g. ``set_fused``) with a thread-local, context-manager-scoped
+override (e.g. ``use_fused``, ``default_dtype``, ``no_grad``); the names
+are read from :data:`repro.nn.policy.SWITCHES`.  Three misuses are
+flagged: a bare override expression that builds the context manager and
+never enters it (silently a no-op), ``with set_*(...)`` (the setter is
+not a context manager), and ``set_*`` calls inside the serving stack,
+where a process-global flip races every other request thread.
 
 Per-file, so it runs under ``analyze lint`` as well as
 ``analyze concurrency``.
@@ -18,6 +17,7 @@ from __future__ import annotations
 
 import ast
 
+from ...nn.policy import SWITCHES
 from .base import Rule
 
 __all__ = ["TLS_CODE", "ThreadLocalPolicyRule"]
@@ -26,9 +26,9 @@ TLS_CODE = "TLS001"
 
 
 #: context managers that must be entered / setters that must not be.
-_USE_NAMES = frozenset({"use_fused", "use_jit", "use_train_jit", "default_dtype"})
-_SET_NAMES = frozenset({"set_fused", "set_jit", "set_train_jit",
-                        "set_default_dtype"})
+_USE_NAMES = frozenset(switch.use_name for switch in SWITCHES)
+_SET_NAMES = frozenset(switch.set_name for switch in SWITCHES
+                       if switch.set_name is not None)
 #: path fragments of the serving stack, where process-global policy
 #: flips race concurrent request threads.
 _SERVING_FRAGMENTS = ("/serve/", "streaming.py", "/robustness/")
@@ -43,7 +43,7 @@ def _tail_name(func: ast.AST) -> str | None:
 
 
 class ThreadLocalPolicyRule(Rule):
-    """TLS001: the ``set_*``/``use_*`` policy trios, used as designed."""
+    """TLS001: the ``repro.nn.policy`` switches, used as designed."""
 
     code = TLS_CODE
     summary = ("thread-local policy misuse: un-entered use_* context "

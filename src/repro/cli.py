@@ -103,8 +103,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--max-inflight", type=int, default=64,
                        help="per-model in-flight quota in the process tier; "
                             "beyond it requests are shed with HTTP 429")
-    serve.add_argument("--workers", type=int, default=None,
-                       help="deprecated alias for --threads")
     serve.add_argument("--load-retries", type=int, default=2,
                        help="transient artifact-load failures retried per "
                             "request (capped exponential backoff)")
@@ -164,26 +162,14 @@ def _validate_serve_args(args: argparse.Namespace) -> None:
     """Reject nonsensical worker/quota counts before any socket binds."""
     if args.procs < 0:
         raise SystemExit(f"--procs must be >= 0, got {args.procs}")
-    for flag, value in (("--threads", args.threads), ("--workers", args.workers)):
-        if value is not None and value < 1:
-            raise SystemExit(f"{flag} must be >= 1, got {value}")
+    if args.threads is not None and args.threads < 1:
+        raise SystemExit(f"--threads must be >= 1, got {args.threads}")
     if args.max_inflight < 1:
         raise SystemExit(f"--max-inflight must be >= 1, got {args.max_inflight}")
 
 
 def _resolve_serve_threads(args: argparse.Namespace) -> int:
-    """Thread-worker count from --threads, honouring the --workers alias."""
-    if args.workers is not None:
-        import warnings
-
-        warnings.warn(
-            "--workers is deprecated; use --threads (thread tier) or "
-            "--procs (process tier) instead",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        if args.threads is None:
-            return args.workers
+    """Thread-worker count from --threads (default 2)."""
     return args.threads if args.threads is not None else 2
 
 

@@ -12,18 +12,12 @@ reuse the same names so the presets apply directly.
 
 from __future__ import annotations
 
-import os
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 from ..masking.frequency import FrequencyMaskStrategy
 from ..masking.temporal import TemporalMaskStrategy
 
 __all__ = ["TFMAEConfig", "PAPER_PRESETS", "preset_for"]
-
-
-def _default_jit_cache() -> int:
-    """Default tape-LRU capacity; ``REPRO_JIT_CACHE`` overrides it."""
-    return int(os.environ.get("REPRO_JIT_CACHE", "8"))
 
 
 @dataclass(frozen=True)
@@ -59,10 +53,9 @@ class TFMAEConfig:
     # softly on untraceable steps.  The process-wide
     # repro.nn.jit_train.set_train_jit toggle gates it as well.
     train_jit: bool = True
-    # Most cached tapes per model (scoring) and per trainer (train step);
-    # the REPRO_JIT_CACHE env var overrides the default of 8.  Evictions
-    # are counted on the model/train-step objects for the benches.
-    jit_cache_size: int = field(default_factory=_default_jit_cache)
+    # Most cached tapes per model (scoring) and per trainer (train step).
+    # Evictions are counted on the model/train-step objects for the benches.
+    jit_cache_size: int = 8
 
     # --- masking ---
     temporal_mask_ratio: float = 55.0      # r^(T) percent

@@ -272,11 +272,10 @@ class TFMAEModel(Module):
         # dtype, fused policy) — one tape replays every batch size;
         # _UNSUPPORTED negative-caches untraceable keys.  A least-recently
         # used cache: a hit moves its entry to the end, and entries past
-        # config.jit_cache_size (REPRO_JIT_CACHE env overrides the
-        # default) are evicted from the front.  Traces, replays and
-        # evictions are counted for the benches.  Scoring threads share
-        # the cache; _tapes_lock guards its lookups and mutations, never a
-        # trace or a replay.
+        # config.jit_cache_size (default 8) are evicted from the front.
+        # Traces, replays and evictions are counted for the benches.
+        # Scoring threads share the cache; _tapes_lock guards its lookups
+        # and mutations, never a trace or a replay.
         self._tapes: dict = {}
         self._tapes_lock = threading.Lock()
         self.jit_traces = 0

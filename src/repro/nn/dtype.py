@@ -7,80 +7,31 @@ halves the memory traffic of every kernel and roughly doubles BLAS
 throughput on the attention matmuls, while anomaly *ranking* (the only
 thing thresholds consume) is insensitive at these scales.
 
-This module provides the switch:
-
-* :func:`set_default_dtype` / :func:`get_default_dtype` — the process
-  default used whenever a :class:`~repro.nn.tensor.Tensor` is built from
-  non-array data (or from an array of a different float dtype).
-* :class:`default_dtype` — a context manager that overrides the default
-  on the *current thread only*.  Models with a per-model
-  ``compute_dtype`` (:class:`repro.core.TFMAEConfig`) wrap their forward
-  passes in it, so a float32 model serving traffic never disturbs a
-  float64 equivalence test running on another thread.
-
-The default stays float64, so nothing changes unless a caller opts in.
+:func:`set_default_dtype` / :func:`get_default_dtype` bind the process
+default of :data:`repro.nn.policy.DTYPE`, used whenever a
+:class:`~repro.nn.tensor.Tensor` is built from non-array data (or from
+an array of another float dtype); :func:`default_dtype` overrides it on
+the current thread only.  Models with a per-model ``compute_dtype``
+(:class:`repro.core.TFMAEConfig`) wrap their forward passes in it, so a
+float32 model serving traffic never disturbs a float64 equivalence test
+on another thread.  The default stays float64.
 """
 
 from __future__ import annotations
 
-import threading
-
 import numpy as np
+
+from .policy import DTYPE, validate_dtype
 
 __all__ = ["get_default_dtype", "set_default_dtype", "default_dtype", "resolve_dtype"]
 
-_SUPPORTED = (np.dtype(np.float32), np.dtype(np.float64))
-
-_global_default = np.dtype(np.float64)
-_local = threading.local()
-
-
-def _validate(dtype) -> np.dtype:
-    resolved = np.dtype(dtype)
-    if resolved not in _SUPPORTED:
-        raise ValueError(
-            f"compute dtype must be float32 or float64, got {resolved}"
-        )
-    return resolved
-
-
-def get_default_dtype() -> np.dtype:
-    """Current default floating dtype (thread-local override wins)."""
-    override = getattr(_local, "stack", None)
-    if override:
-        return override[-1]
-    return _global_default
-
-
-def set_default_dtype(dtype) -> None:
-    """Set the process-wide default floating dtype (float32 or float64)."""
-    global _global_default
-    _global_default = _validate(dtype)
+get_default_dtype = DTYPE.get
+set_default_dtype = DTYPE.set
+default_dtype = DTYPE.use
 
 
 def resolve_dtype(dtype=None) -> np.dtype:
     """Resolve an explicit dtype, falling back to the active default."""
     if dtype is None:
-        return get_default_dtype()
-    return _validate(dtype)
-
-
-class default_dtype:
-    """Thread-local dtype override, usable as a context manager.
-
-    >>> with default_dtype(np.float32):
-    ...     x = Tensor([1.0, 2.0])   # float32
-    """
-
-    def __init__(self, dtype):
-        self.dtype = _validate(dtype)
-
-    def __enter__(self) -> "default_dtype":
-        stack = getattr(_local, "stack", None)
-        if stack is None:
-            stack = _local.stack = []
-        stack.append(self.dtype)
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        _local.stack.pop()
+        return DTYPE.get()
+    return validate_dtype(dtype)

@@ -25,29 +25,18 @@ unfused reference composition, so in float64 the fused forward is
 bit-identical; every backward is verified against the reference by
 finite-difference :func:`repro.nn.gradcheck` in the test-suite.
 
-:func:`use_fused` / :func:`fused_enabled` provide the switch so the
-equivalence tests and micro-benchmarks can flip between the fused and
-reference paths; the public :mod:`repro.nn.functional` entry points
-dispatch on it.
-
-Threading contract
-------------------
-The switch mirrors :mod:`repro.nn.dtype` exactly:
-
-* :func:`set_fused` sets the **process-wide default** (True at import).
-* :class:`use_fused` is a **thread-local override**: it scopes the toggle
-  to the current thread only, so a test or benchmark flipping to the
-  reference path can never make the serve scheduler's worker pool — or a
-  training thread — silently take the slow (or fast) path mid-run.
-  Overrides nest; the innermost active one wins on its own thread.
+:func:`use_fused` / :func:`set_fused` / :func:`fused_enabled` are the
+switch (:data:`repro.nn.policy.FUSED`, default on) so the equivalence
+tests and micro-benchmarks can flip between the fused and reference
+paths; the public :mod:`repro.nn.functional` entry points dispatch on
+it.  See :mod:`repro.nn.policy` for the threading contract.
 """
 
 from __future__ import annotations
 
-import threading
-
 import numpy as np
 
+from .policy import FUSED
 from .tensor import Tensor, _unbroadcast
 
 __all__ = [
@@ -71,53 +60,9 @@ __all__ = [
 _SQRT_2_OVER_PI = float(np.sqrt(2.0 / np.pi))
 _GELU_COEFF = 0.044715
 
-_global_enabled = True
-_local = threading.local()
-
-
-def fused_enabled() -> bool:
-    """Whether the fused kernels are active on this thread (default True).
-
-    A thread-local :class:`use_fused` override wins over the
-    :func:`set_fused` process default.
-    """
-    stack = getattr(_local, "stack", None)
-    if stack:
-        return stack[-1]
-    return _global_enabled
-
-
-def set_fused(enabled: bool) -> None:
-    """Set the process-wide default for the fused kernels.
-
-    Threads currently inside a :class:`use_fused` block keep their own
-    override; everyone else observes the new default immediately.
-    """
-    global _global_enabled
-    _global_enabled = bool(enabled)
-
-
-class use_fused:
-    """Thread-local fused-kernel override, usable as a context manager.
-
-    Scoped to the current thread only (mirroring
-    :class:`repro.nn.dtype.default_dtype`), so equivalence tests and
-    benches flipping to the reference path never disturb concurrent
-    serving or training threads.
-    """
-
-    def __init__(self, enabled: bool):
-        self.enabled = bool(enabled)
-
-    def __enter__(self) -> "use_fused":
-        stack = getattr(_local, "stack", None)
-        if stack is None:
-            stack = _local.stack = []
-        stack.append(self.enabled)
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        _local.stack.pop()
+use_fused = FUSED.use
+set_fused = FUSED.set
+fused_enabled = FUSED.get
 
 
 # ----------------------------------------------------------------------

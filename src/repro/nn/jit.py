@@ -62,9 +62,9 @@ Known replay differences (documented, not observable through scores):
 op hooks do not see replayed kernels, and attention's
 ``last_attention`` diagnostic is not refreshed during replay.
 
-The :func:`use_jit` / :func:`set_jit` / :func:`jit_enabled` switch trio
-mirrors :mod:`repro.nn.fused` exactly: a process-wide default plus a
-nestable thread-local override.
+:func:`use_jit` / :func:`set_jit` / :func:`jit_enabled` are the switch
+(:data:`repro.nn.policy.JIT`, default on); see :mod:`repro.nn.policy`
+for the threading contract.
 
 This module never constructs tensors — it only observes them through
 the hook.  Lint rule JIT001 (:mod:`repro.analysis`) enforces this.
@@ -78,6 +78,7 @@ import threading
 import numpy as np
 
 from .fused import _GELU_COEFF, _SQRT_2_OVER_PI
+from .policy import JIT
 from .tensor import op_hook
 
 __all__ = [
@@ -94,52 +95,9 @@ __all__ = [
 #: default arguments.
 _NP_CALL = re.compile(r"np\.(\w+(?:\.(?:at|reduce))?)\(")
 
-_global_enabled = True
-_local = threading.local()
-
-
-def jit_enabled() -> bool:
-    """Whether tape-replay scoring is active on this thread (default True).
-
-    A thread-local :class:`use_jit` override wins over the
-    :func:`set_jit` process default.
-    """
-    stack = getattr(_local, "stack", None)
-    if stack:
-        return stack[-1]
-    return _global_enabled
-
-
-def set_jit(enabled: bool) -> None:
-    """Set the process-wide default for tape-replay scoring.
-
-    Threads currently inside a :class:`use_jit` block keep their own
-    override; everyone else observes the new default immediately.
-    """
-    global _global_enabled
-    _global_enabled = bool(enabled)
-
-
-class use_jit:
-    """Thread-local tape-replay override, usable as a context manager.
-
-    Scoped to the current thread only (mirroring
-    :class:`repro.nn.fused.use_fused`), so a test or benchmark pinning
-    the interpreted path never disturbs concurrent serving threads.
-    """
-
-    def __init__(self, enabled: bool):
-        self.enabled = bool(enabled)
-
-    def __enter__(self) -> "use_jit":
-        stack = getattr(_local, "stack", None)
-        if stack is None:
-            stack = _local.stack = []
-        stack.append(self.enabled)
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        _local.stack.pop()
+use_jit = JIT.use
+set_jit = JIT.set
+jit_enabled = JIT.get
 
 
 class TraceUnsupported(RuntimeError):

@@ -43,13 +43,13 @@ in the backward, gradient flow into untraced leaves) soft-fail: the key
 is negative-cached and the interpreted path is used, consuming the same
 RNG.
 
-The :func:`use_train_jit` / :func:`set_train_jit` /
-:func:`train_jit_enabled` switch trio mirrors :func:`repro.nn.jit.set_jit`
-exactly.  Failures raised *inside* a compiled step are re-raised as
-:class:`CompiledStepError` naming the op and its recorded creation site
-instead of the anonymous ``exec`` frame; when ``detect_anomaly`` is
-active the step always runs interpreted so the sanitizer's op attribution
-is untouched.
+:func:`use_train_jit` / :func:`set_train_jit` / :func:`train_jit_enabled`
+are the switch (:data:`repro.nn.policy.TRAIN_JIT`, default on; see
+:mod:`repro.nn.policy`).  Failures raised *inside* a compiled step are
+re-raised as :class:`CompiledStepError` naming the op and its recorded
+creation site instead of the anonymous ``exec`` frame; when
+``detect_anomaly`` is active the step always runs interpreted so the
+sanitizer's op attribution is untouched.
 
 This module never constructs tensors — it only observes them through the
 hook.  Lint rule JIT001 (:mod:`repro.analysis`) enforces this.
@@ -80,6 +80,7 @@ from .jit import (
     TraceUnsupported,
 )
 from .optim import Adam
+from .policy import TRAIN_JIT
 from .tensor import _HOOK_STATE, _unbroadcast, op_hook
 
 __all__ = [
@@ -92,8 +93,9 @@ __all__ = [
     "TraceUnsupported",
 ]
 
-_global_enabled = True
-_local = threading.local()
+use_train_jit = TRAIN_JIT.use
+set_train_jit = TRAIN_JIT.set
+train_jit_enabled = TRAIN_JIT.get
 
 #: Negative-cache sentinel for specialization keys that hit a
 #: trace-unsupported op — the interpreted path is used without retracing.
@@ -101,50 +103,6 @@ _UNSUPPORTED = object()
 
 _FILENAME = "<repro.nn.jit_train.TrainTape>"
 _NN_DIR = os.path.dirname(os.path.abspath(__file__))
-
-
-def train_jit_enabled() -> bool:
-    """Whether train-step compilation is active on this thread (default True).
-
-    A thread-local :class:`use_train_jit` override wins over the
-    :func:`set_train_jit` process default.
-    """
-    stack = getattr(_local, "stack", None)
-    if stack:
-        return stack[-1]
-    return _global_enabled
-
-
-def set_train_jit(enabled: bool) -> None:
-    """Set the process-wide default for train-step compilation.
-
-    Threads currently inside a :class:`use_train_jit` block keep their
-    own override; everyone else observes the new default immediately.
-    """
-    global _global_enabled
-    _global_enabled = bool(enabled)
-
-
-class use_train_jit:
-    """Thread-local train-step-compilation override (context manager).
-
-    Scoped to the current thread only, mirroring
-    :class:`repro.nn.jit.use_jit`, so an equivalence test pinning the
-    interpreted loop never disturbs concurrent training threads.
-    """
-
-    def __init__(self, enabled: bool):
-        self.enabled = bool(enabled)
-
-    def __enter__(self) -> "use_train_jit":
-        stack = getattr(_local, "stack", None)
-        if stack is None:
-            stack = _local.stack = []
-        stack.append(self.enabled)
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        _local.stack.pop()
 
 
 class CompiledStepError(RuntimeError):

@@ -28,13 +28,9 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .dtype import resolve_dtype
+from .policy import GRAD
 
 __all__ = ["Tensor", "no_grad", "is_grad_enabled", "op_hook"]
-
-# Per-thread: the serving worker pool scores under no_grad() concurrently
-# with training elsewhere; a process-global flag would race (interleaved
-# save/restore can leave gradients disabled for everyone).
-_GRAD_STATE = threading.local()
 
 # Per-thread op-observation hooks (see repro.analysis).  A hook object may
 # define ``after_forward(out, parents)`` — called right after any op
@@ -83,26 +79,17 @@ class op_hook:
             _HOOK_STATE.hooks = None
 
 
-class no_grad:
-    """Context manager that disables graph construction.
+def no_grad():
+    """Context manager disabling graph construction on this thread only.
 
-    Used during inference (anomaly scoring) where gradients are not needed,
-    mirroring ``torch.no_grad``.  The flag is thread-local, so concurrent
-    inference threads never disturb a training thread.
+    Used during inference (anomaly scoring), mirroring ``torch.no_grad``;
+    it enters the :data:`repro.nn.policy.GRAD` override with False.
     """
-
-    def __enter__(self) -> "no_grad":
-        self._prev = is_grad_enabled()
-        _GRAD_STATE.enabled = False
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        _GRAD_STATE.enabled = self._prev
+    return GRAD.use(False)
 
 
-def is_grad_enabled() -> bool:
-    """Return whether new operations record gradient information."""
-    return getattr(_GRAD_STATE, "enabled", True)
+#: Whether new operations record gradient information.
+is_grad_enabled = GRAD.get
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:

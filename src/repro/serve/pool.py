@@ -47,8 +47,9 @@ FIFO ordering is load-bearing: a ``load`` is enqueued before the first
 ``score`` for its key, so the parent marks the key resident
 optimistically and never waits for the ack.  Workers drain their pipe
 opportunistically and group consecutive score requests by
-``(key, shape)`` into one vectorized ``score_last`` call — the same
-micro-batching the thread scheduler does, now per shard.
+``(key, shape)`` into one vectorized ``score_last`` call through the
+thread scheduler's own :func:`~repro.serve.scheduler.score_grouped`,
+now per shard.
 """
 
 from __future__ import annotations
@@ -77,6 +78,7 @@ from .errors import (
 from .hashring import HashRing
 from .metrics import MetricsRegistry
 from .registry import _lookup_codec
+from .scheduler import score_grouped
 from .shm import WeightSegment, attach_segment
 
 __all__ = ["ProcessPool"]
@@ -149,38 +151,24 @@ def _read_proc_rss() -> dict[str, int]:
 # ----------------------------------------------------------------------
 # worker process
 # ----------------------------------------------------------------------
-def _worker_score(conn, models: dict, batch: list, jit: bool | None) -> None:
+def _worker_score(conn, models: dict, batch: list) -> None:
     """Score a run of ("score", req_id, key, window) messages, grouped."""
-    from ..nn import jit as nn_jit
 
-    groups: dict[tuple[str, tuple[int, ...]], list] = defaultdict(list)
-    for _op, req_id, key, window in batch:
-        groups[(key, window.shape)].append((req_id, window))
-    for (key, _shape), items in groups.items():
+    def resident(key: str) -> BaseDetector:
         detector = models.get(key)
         if detector is None:
-            for req_id, _window in items:
-                conn.send(("score_err", req_id, "transient",
-                           f"model {key} is not resident in this worker"))
-            continue
-        try:
-            # Mirror the thread scheduler exactly (bitwise equivalence):
-            # a batch of one rides a zero-copy view, larger ones stack.
-            if len(items) == 1:
-                windows = items[0][1][None]
-            else:
-                windows = np.stack([window for _req_id, window in items])
-            if jit is None:
-                scores = detector.score_last(windows)
-            else:
-                with nn_jit.use_jit(jit):
-                    scores = detector.score_last(windows)
-        except BaseException as error:  # noqa: BLE001 — forwarded to the parent
+            raise TransientFault(f"model {key} is not resident in this worker")
+        return detector
+
+    # The thread scheduler's own batching routine (bitwise equivalence).
+    items = [(key, window, req_id) for _op, req_id, key, window in batch]
+    for _key, req_ids, scores, error in score_grouped(items, resident):
+        if error is not None:
             kind, message = _classify(error), str(error)
-            for req_id, _window in items:
+            for req_id in req_ids:
                 conn.send(("score_err", req_id, kind, message))
             continue
-        for (req_id, _window), score in zip(items, scores):
+        for req_id, score in zip(req_ids, scores):
             conn.send(("score_ok", req_id, float(score)))
 
 
@@ -203,7 +191,7 @@ def _worker_load(conn, models: dict, segments: dict, key: str, spec: dict) -> No
         conn.send(("load_err", key, _classify(error), str(error)))
 
 
-def _worker_main(slot: str, conn, jit: bool | None) -> None:
+def _worker_main(slot: str, conn) -> None:
     """Entry point of one worker process (module-level for spawn pickling)."""
     # Ctrl-C goes to the whole foreground process group; shutdown is the
     # parent's job (it sends "stop"), so workers ignore the signal.
@@ -229,7 +217,7 @@ def _worker_main(slot: str, conn, jit: bool | None) -> None:
                 run_end = index
                 while run_end < len(inbox) and inbox[run_end][0] == "score":
                     run_end += 1
-                _worker_score(conn, models, inbox[index:run_end], jit)
+                _worker_score(conn, models, inbox[index:run_end])
                 index = run_end
                 continue
             if op == "load":
@@ -311,10 +299,6 @@ class ProcessPool:
         Shared :class:`MetricsRegistry`; the pool records request
         counts, latency, sheds, deaths and respawns parent-side (no
         cross-process scrape on the ``/metrics`` path).
-    jit:
-        Worker-side tape-replay policy, mirroring
-        :class:`~repro.serve.scheduler.MicroBatcher`'s ``jit`` knob:
-        ``None`` inherits the worker-process default (on).
     clock:
         Injectable time source for the slot breakers (chaos tests run
         at simulated time).
@@ -328,7 +312,6 @@ class ProcessPool:
         breaker_threshold: int = 3,
         respawn_backoff: float = 5.0,
         metrics: MetricsRegistry | None = None,
-        jit: bool | None = None,
         ring_replicas: int = 64,
         clock: Callable[[], float] = time.monotonic,
     ):
@@ -341,7 +324,6 @@ class ProcessPool:
         self.procs = procs
         self.max_inflight_per_model = max_inflight_per_model
         self.heartbeat_interval = heartbeat_interval
-        self.jit = None if jit is None else bool(jit)
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self._ctx = mp.get_context("spawn")
         self._ring = HashRing(replicas=ring_replicas)
@@ -460,7 +442,7 @@ class ProcessPool:
         _spawn_guard(f"ProcessPool._spawn({slot})")
         parent_conn, child_conn = self._ctx.Pipe(duplex=True)
         process = self._ctx.Process(
-            target=_worker_main, args=(slot, child_conn, self.jit),
+            target=_worker_main, args=(slot, child_conn),
             name=f"repro-serve-{slot}", daemon=True,
         )
         process.start()

@@ -46,14 +46,44 @@ import numpy as np
 
 from ..analysis.lockcheck import named_lock
 from ..detector import BaseDetector
-from ..nn import jit as nn_jit
 from .errors import Overloaded, ServeError
 from .metrics import MetricsRegistry
 
-__all__ = ["MicroBatcher", "ScoreRequest"]
+__all__ = ["MicroBatcher", "ScoreRequest", "score_grouped"]
 
 #: Queue sentinel telling one worker to exit after the drain.
 _STOP = object()
+
+
+def score_grouped(items, detector_for: Callable[[str], BaseDetector]):
+    """Score ``(model_key, window, tag)`` items, one call per group.
+
+    Items are grouped by model key and window shape, and each group is
+    scored by one :meth:`BaseDetector.score_last` call (the shared chunked
+    scorer, see :func:`repro.datasets.windows.batched_window_scores`); a
+    group of one rides a zero-copy view instead of a stack.  Both serving
+    tiers — the thread scheduler and the process-pool workers — batch
+    through here, so their scores are bitwise identical.
+
+    Yields ``(model_key, tags, scores, error)`` per group in first-seen
+    order: ``scores`` when the group scored, else the ``error`` raised by
+    ``detector_for`` or the scorer, for the caller to forward.
+    """
+    groups: dict[tuple[str, tuple[int, ...]], list] = defaultdict(list)
+    for model_key, window, tag in items:
+        groups[(model_key, window.shape)].append((window, tag))
+    for (model_key, _shape), members in groups.items():
+        tags = [tag for _window, tag in members]
+        try:
+            detector = detector_for(model_key)
+            if len(members) == 1:
+                windows = members[0][0][None]
+            else:
+                windows = np.stack([window for window, _tag in members])
+            scores, error = detector.score_last(windows), None
+        except BaseException as caught:  # noqa: BLE001 — forwarded to clients
+            scores, error = None, caught
+        yield model_key, tags, scores, error
 
 
 class ScoreRequest:
@@ -91,12 +121,6 @@ class MicroBatcher:
     metrics:
         Optional :class:`MetricsRegistry`; the batcher records queue
         depth, batch sizes, shed counts, and per-model scored counts.
-    jit:
-        Tape-replay scoring policy for the worker threads: ``True`` /
-        ``False`` pin it on or off per batch via a thread-local
-        :class:`repro.nn.jit.use_jit` override; ``None`` (default)
-        inherits the ambient :func:`repro.nn.jit.set_jit` process
-        default (on).
     """
 
     def __init__(
@@ -107,7 +131,6 @@ class MicroBatcher:
         max_queue: int = 256,
         workers: int = 1,
         metrics: MetricsRegistry | None = None,
-        jit: bool | None = None,
     ):
         if max_batch_size < 1:
             raise ValueError(f"max_batch_size must be >= 1, got {max_batch_size}")
@@ -118,7 +141,6 @@ class MicroBatcher:
         if workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers}")
         self.detector_for = detector_for
-        self.jit = None if jit is None else bool(jit)
         self.max_batch_size = max_batch_size
         self.max_delay = max_delay
         self.max_queue = max_queue
@@ -255,31 +277,14 @@ class MicroBatcher:
         self.metrics.gauge("serve_queue_depth").set(self._queue.qsize())
         self.metrics.histogram("serve_batch_size").observe(len(batch))
         self.metrics.counter("serve_batches_total").inc()
-        # Group by model and window shape: one vectorized call per group.
-        groups: dict[tuple[str, tuple[int, ...]], list[ScoreRequest]] = defaultdict(list)
+        now = time.monotonic()
         for request in batch:
-            groups[(request.model_key, request.window.shape)].append(request)
-        for (model_key, _shape), requests in groups.items():
-            now = time.monotonic()
-            for request in requests:
-                self.metrics.histogram("serve_queue_wait_seconds").observe(
-                    now - request.enqueued_at
-                )
-            try:
-                detector = self.detector_for(model_key)
-                # score_last is the shared chunked scorer (see
-                # repro.datasets.windows.batched_window_scores); a batch
-                # of one rides a zero-copy view instead of a stack.
-                if len(requests) == 1:
-                    windows = requests[0].window[None]
-                else:
-                    windows = np.stack([r.window for r in requests])
-                if self.jit is None:
-                    scores = detector.score_last(windows)
-                else:
-                    with nn_jit.use_jit(self.jit):
-                        scores = detector.score_last(windows)
-            except BaseException as error:  # noqa: BLE001 — forwarded to clients
+            self.metrics.histogram("serve_queue_wait_seconds").observe(
+                now - request.enqueued_at
+            )
+        items = [(request.model_key, request.window, request) for request in batch]
+        for model_key, requests, scores, error in score_grouped(items, self.detector_for):
+            if error is not None:
                 for request in requests:
                     if not request.future.set_running_or_notify_cancel():
                         continue

@@ -246,6 +246,18 @@ class TestThreadLocalPolicy:
         violations = analyze_concurrency([str(tmp_path)])
         assert _codes(violations) == ["TLS001"]
 
+    def test_bare_no_grad_expression_fires(self, tmp_path):
+        _write(tmp_path, "mod.py", """
+            from repro import nn
+
+            def misuse(model, x):
+                nn.no_grad()
+                return model(x)
+        """)
+        violations = analyze_concurrency([str(tmp_path)])
+        assert _codes(violations) == ["TLS001"]
+        assert "no_grad(...)" in violations[0].message
+
     def test_with_use_is_clean(self, tmp_path):
         _write(tmp_path, "mod.py", """
             from repro.nn.fused import use_fused

@@ -203,10 +203,6 @@ class TestGuardsAndCache:
         trainer.fit(series)
         assert trainer.train_step.evictions >= 1
 
-    def test_cache_size_env_override(self, monkeypatch):
-        monkeypatch.setenv("REPRO_JIT_CACHE", "3")
-        assert TFMAEConfig().jit_cache_size == 3
-
     def test_cache_size_validated(self):
         with pytest.raises(ValueError, match="jit_cache_size"):
             TFMAEConfig(jit_cache_size=0)
