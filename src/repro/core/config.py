@@ -132,6 +132,8 @@ class TFMAEConfig:
             raise ValueError("temporal_mask_ratio must be in [0, 100]")
         if not 0.0 <= self.frequency_mask_ratio <= 100.0:
             raise ValueError("frequency_mask_ratio must be in [0, 100]")
+        if not 0.0 <= self.dropout < 1.0:
+            raise ValueError("dropout must be in [0, 1)")
         if self.d_model % self.num_heads != 0:
             raise ValueError("d_model must be divisible by num_heads")
         if self.compute_dtype not in ("float32", "float64"):

@@ -88,13 +88,7 @@ def dropout(x: Tensor, p: float, training: bool, rng: np.random.Generator | None
     """
     if not training or p <= 0.0:
         return x
-    if not 0.0 <= p < 1.0:
-        raise ValueError(f"dropout probability must be in [0, 1), got {p}")
-    # Documented interactive fallback: repro callers (Dropout layer, fused
-    # kernels) always thread a seeded generator through `rng`.
-    generator = rng if rng is not None else np.random.default_rng()  # repro: noqa[RNG001]
-    mask = (generator.random(x.shape) >= p) / (1.0 - p)
-    return x * Tensor(mask)
+    return x * Tensor(fused.dropout_mask(x.shape, p, rng))
 
 
 def dropout_residual(

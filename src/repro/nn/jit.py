@@ -54,9 +54,11 @@ Argument references are resolved **by identity** at trace time:
   as unsupported and keeps using the interpreted path).
 
 Every replay kernel mirrors the *exact* numpy operation sequence of the
-interpreted op (including the fused kernels of :mod:`repro.nn.fused`),
-so replay output is bitwise-identical to the interpreted graph in both
-float64 and float32.
+interpreted op, so replay output is bitwise-identical to the interpreted
+graph in both float64 and float32.  The fused kernels are not mirrored
+but shared: their single definition in :data:`repro.nn.fused.KERNELS`
+runs once through :class:`_Record`, which writes each ``out=`` call as
+a line of the replay function.
 
 Known replay differences (documented, not observable through scores):
 op hooks do not see replayed kernels, and attention's
@@ -74,10 +76,11 @@ from __future__ import annotations
 
 import re
 import threading
+from functools import partial
 
 import numpy as np
 
-from .fused import _GELU_COEFF, _SQRT_2_OVER_PI
+from .fused import KERNELS
 from .policy import JIT
 from .tensor import op_hook
 
@@ -140,6 +143,9 @@ class _TapeBuilder:
         self._param_ids = {id(p.data): p for p in params}
         self.steps: list[_Step] = []
         self.tensor_step: dict[int, int] = {}
+        #: output-array identity -> step; filled by the train-step builder,
+        #: whose ``detach()`` leaves resolve to the step they alias.
+        self.data_step: dict[int, int] = {}
         # Every observed output tensor is kept alive for the duration of
         # the trace: under no_grad the graph holds no parent references,
         # and a collected tensor's id could be reused mid-trace.
@@ -152,21 +158,23 @@ class _TapeBuilder:
     def after_forward(self, out, parents) -> None:
         if self.failed is not None:
             return
-        op = out.op
         try:
-            if op not in _COMPILERS:
-                raise TraceUnsupported(f"op {op!r} has no replay kernel")
-            refs = tuple(self._resolve_parent(p) for p in parents)
-            meta = self._resolve_meta(op, getattr(out, "_meta", None))
+            step = self._record(out, parents)
         except TraceUnsupported as error:
             self.failed = str(error)
             return
-        index = len(self.steps)
-        self.steps.append(
-            _Step(op, out.data, tuple(p.data for p in parents), refs, meta)
-        )
-        self.tensor_step[id(out)] = index
+        self.tensor_step[id(out)] = len(self.steps)
+        self.steps.append(step)
         self.keepalive.append(out)
+
+    def _record(self, out, parents) -> _Step:
+        """Resolve one observed op into the step appended next."""
+        op = out.op
+        if op not in _COMPILERS:
+            raise TraceUnsupported(f"op {op!r} has no replay kernel")
+        refs = tuple(self._resolve_parent(p) for p in parents)
+        meta = self._resolve_meta(op, getattr(out, "_meta", None))
+        return _Step(op, out.data, tuple(p.data for p in parents), refs, meta)
 
     # -- reference resolution -------------------------------------------
     def _resolve_parent(self, parent):
@@ -183,6 +191,10 @@ class _TapeBuilder:
                 self._guard_ids.add(id(param))
                 self.guards.append((param, data))
             return (_CONST, data)
+        # A ``detach()`` leaf holds a traced step's output: read its buffer.
+        index = self.data_step.get(id(data))
+        if index is not None:
+            return (_STEP, index)
         if data.size <= 1:
             # Scalar leaves (coerced Python numbers) are immutable in
             # practice; bake a private copy to be safe.
@@ -269,44 +281,99 @@ def _classify(step: _Step) -> str:
     return "buffer"
 
 
-def _reduced_shape(shape: tuple, axis: int) -> tuple:
-    """Shape of a ``keepdims=True`` reduction along ``axis``."""
-    reduced = list(shape)
-    reduced[axis] = 1
-    return tuple(reduced)
+def _forward_scratch(step: _Step):
+    """``(shape, dtype)`` of a fused kernel's forward scratch buffers."""
+    kernel = KERNELS.get(step.op)
+    if kernel is None:
+        return ()
+    return kernel.shapes(*step.parent_datas, **(step.meta or {}))[1:]
 
 
-def _scratch_specs(step: _Step):
-    """Extra temporaries a fused kernel needs beyond its out buffer.
+def _liveness(steps, pins):
+    """Storage plan shared by both tapes: per-step :func:`_classify` kind,
+    and per position the buffered steps whose storage dies there.
 
-    Besides the full-size intermediates, each softmax-family kernel gets
-    one reduced-shape buffer so its ``keepdims`` reductions (max/sum/mu/
-    var) run with ``out=`` instead of allocating every replay.
+    A view chains to its source's storage root (a view of a slot or
+    constant owns none); each root lives until the last step reading it,
+    or later where ``pins`` — ``(step, position)`` pairs — say so: the
+    outputs past the end of the tape, a train step's backward reads.
     """
-    op = step.op
-    dtype = step.out_data.dtype
-    if op == "fused_softmax":
-        return ((_reduced_shape(step.out_data.shape, step.meta["axis"]), dtype),)
-    if op == "fused_log_softmax":
-        return (
-            (step.out_data.shape, dtype),
-            (_reduced_shape(step.out_data.shape, step.meta["axis"]), dtype),
-        )
-    if op == "fused_gelu":
-        return ((step.out_data.shape, dtype),)
-    if op == "fused_layer_norm":
-        parent = step.parent_datas[0]
-        return (
-            (parent.shape, parent.dtype),
-            (parent.shape[:-1] + (1,), parent.dtype),
-        )
-    if op == "fused_attention":
-        q, k = step.parent_datas[0], step.parent_datas[1]
-        return (
-            (q.shape[:-1] + (k.shape[-2],), dtype),
-            (q.shape[:-1] + (1,), dtype),
-        )
-    return ()
+    kinds, roots = [], []
+    for i, step in enumerate(steps):
+        kinds.append(_classify(step))
+        root = i
+        if kinds[i] == "view":
+            ref_kind, payload = step.refs[0]
+            root = roots[payload] if ref_kind == _STEP else None
+        roots.append(root)
+    last_use: dict[int, int] = {}
+    for i, step in enumerate(steps):
+        for ref_kind, payload in step.refs:
+            if ref_kind == _STEP and roots[payload] is not None:
+                last_use[roots[payload]] = i
+    for index, pos in pins:
+        root = roots[index]
+        if root is not None:
+            last_use[root] = max(last_use.get(root, pos), pos)
+    deaths: dict[int, list[int]] = {}
+    for i, kind in enumerate(kinds):
+        if kind == "buffer":
+            deaths.setdefault(last_use.get(i, i), []).append(i)
+    return kinds, deaths
+
+
+class _Pool:
+    """First-fit buffer pool shared by both tapes.
+
+    ``specs[buf_id]`` describes each planned buffer; a released buffer
+    serves an equal-spec request from its release position on.
+    """
+
+    def __init__(self) -> None:
+        self.specs: list[tuple] = []
+        self._free: dict[tuple, list[tuple[int, int]]] = {}
+
+    def new(self, spec: tuple) -> int:
+        self.specs.append(spec)
+        return len(self.specs) - 1
+
+    def acquire(self, spec: tuple, at: int) -> int:
+        free = self._free.get(spec)
+        if free:
+            for slot, (buf_id, avail_from) in enumerate(free):
+                if avail_from <= at:
+                    free.pop(slot)
+                    return buf_id
+        return self.new(spec)
+
+    def release(self, buf_id: int, avail_from: int) -> None:
+        self._free.setdefault(self.specs[buf_id], []).append((buf_id, avail_from))
+
+
+def _compile(name: str, args: str, body: list[str], namespace: dict, filename: str):
+    """``exec``-compile ``def name(args): body``; returns ``(source, fn)``.
+
+    Every ``np.<fn>`` the body references is hoisted into a default
+    argument, bound once at compile: each kernel line then reaches its
+    function through one LOAD_FAST instead of a global plus attribute
+    chain — measurable across ~hundreds of lines per replay.  Longest
+    names first so ``np.add.at`` never gets half-rewritten by the
+    ``np.add`` pass.  The source is assembled exclusively from this
+    package's own emitters over trace-time metadata; nothing
+    user-controlled reaches it (constants ride the ``C`` pool).
+    """
+    hoisted = sorted(
+        {match.group(1) for line in body for match in _NP_CALL.finditer(line)},
+        key=len,
+        reverse=True,
+    )
+    for fn in hoisted:
+        local = "np_" + fn.replace(".", "_")
+        body = [line.replace(f"np.{fn}(", f"{local}(") for line in body]
+        args += f", {local}=np.{fn}"
+    source = "\n".join([f"def {name}({args}):"] + body + [""])
+    exec(compile(source, filename, "exec"), namespace)
+    return source, namespace[name]
 
 
 # ----------------------------------------------------------------------
@@ -481,12 +548,8 @@ class _Codegen:
         return var
 
     def ref(self, ref) -> str:
-        kind, payload = ref
-        if kind == _STEP:
-            return f"e{payload}"
-        if kind == _SLOT:
-            return self.slot(payload)
-        return self.const(payload)
+        """Expression for an argument ref (step output, slot or constant)."""
+        return f"e{ref[1]}" if ref[0] == _STEP else self.obj(ref)
 
     def obj(self, ref) -> str:
         """Expression for a metadata object ref (slot or constant)."""
@@ -543,121 +606,51 @@ class Tape:
         self._batch_slot = batched[0]
         flags = _batch_flags(steps, self._out_step, slots, frozenset(batched))
 
-        n = len(steps)
-        kinds = [None] * n
-        roots: list[int | None] = [None] * n
-        for i, step in enumerate(steps):
-            kind = _classify(step)
-            kinds[i] = kind
-            if kind == "view":
-                ref_kind, payload = step.refs[0]
-                # A view of an input slot or constant owns no frame
-                # storage; a view of a step chains to that step's root.
-                roots[i] = roots[payload] if ref_kind == _STEP else None
-            else:
-                roots[i] = i
-
-        # Liveness per storage root: the last step reading it.  The
-        # final output's root is pinned past the end of the tape so its
+        # The final output is pinned past the end of the tape so its
         # buffer is never handed out for reuse mid-replay.
-        last_use: dict[int, int] = {}
-        for i, step in enumerate(steps):
-            for ref_kind, payload in step.refs:
-                if ref_kind == _STEP:
-                    root = roots[payload]
-                    if root is not None:
-                        last_use[root] = i
-        out_root = roots[self._out_step]
-        if out_root is not None:
-            last_use[out_root] = n
-
-        deaths: dict[int, list[int]] = {}
-        for i in range(n):
-            if kinds[i] == "buffer":
-                deaths.setdefault(last_use.get(i, i), []).append(i)
+        n = len(steps)
+        kinds, deaths = _liveness(steps, [(self._out_step, n)])
 
         # Buffers are pooled per (batched, dims, dtype): a batched
         # buffer's dims are its trailing shape — its leading one is the
         # replay batch — and every scratch buffer of a batched step is
         # batched too.
-        specs: list[tuple[bool, tuple[int, ...], np.dtype]] = []
-        free: dict[tuple, list[tuple[int, int]]] = {}
+        pool = _Pool()
         buffer_of: dict[int, int] = {}
 
-        def spec(shape, dtype, batch) -> tuple:
-            return (batch, tuple(shape[1:] if batch else shape), np.dtype(dtype))
-
         def acquire(shape, dtype, at, batch):
-            key = spec(shape, dtype, batch)
-            pool = free.get(key)
-            if pool:
-                for slot, (buf_id, avail_from) in enumerate(pool):
-                    if avail_from <= at:
-                        pool.pop(slot)
-                        return buf_id
-            specs.append(key)
-            return len(specs) - 1
-
-        def release(buf_id, avail_from):
-            free.setdefault(specs[buf_id], []).append((buf_id, avail_from))
+            return pool.acquire(
+                (batch, tuple(shape[1:] if batch else shape), np.dtype(dtype)), at)
 
         codegen = _Codegen(i for i, flag in enumerate(flags) if flag)
         for i, step in enumerate(steps):
-            buf_id = None
-            scratch_ids = []
+            buf_id, scratch_ids = None, []
             if kinds[i] == "buffer":
-                shape, dtype = step.out_data.shape, step.out_data.dtype
-                buf_id = acquire(shape, dtype, i, flags[i])
+                buf_id, *scratch_ids = [
+                    acquire(shape, dtype, i, flags[i]) for shape, dtype in
+                    [(step.out_data.shape, step.out_data.dtype), *_forward_scratch(step)]]
                 buffer_of[i] = buf_id
-                for s_shape, s_dtype in _scratch_specs(step):
-                    scratch_ids.append(acquire(s_shape, s_dtype, i, flags[i]))
                 for sid in scratch_ids:
-                    release(sid, i + 1)
+                    pool.release(sid, i + 1)
             _COMPILERS[step.op](codegen, i, step, kinds[i], buf_id, scratch_ids)
             # Buffers whose root dies here become reusable from i + 1 —
             # never at i itself, so a kernel cannot alias its own inputs.
             for root in deaths.get(i, ()):
-                release(buffer_of[root], i + 1)
+                pool.release(buffer_of[root], i + 1)
 
         frame_lines = [
-            f"    f{buf_id} = frame[{buf_id}]" + ("[:b]" if specs[buf_id][0] else "")
+            f"    f{buf_id} = frame[{buf_id}]" + ("[:b]" if pool.specs[buf_id][0] else "")
             for buf_id in sorted(codegen.used_buffers)
         ]
-        body = (
-            codegen.slot_lines
-            + frame_lines
-            + codegen.lines
-            + [f"    return e{self._out_step}"]
-        )
-        # Hoist every ``np.<fn>`` the body references into a default
-        # argument, bound once at compile: each kernel line then reaches
-        # its function through one LOAD_FAST instead of a global plus
-        # attribute chain — measurable across ~hundreds of lines per
-        # replay.  Longest names first so ``np.add.at`` never gets
-        # half-rewritten by the ``np.add`` pass.
-        hoisted = sorted(
-            {match.group(1) for line in body for match in _NP_CALL.finditer(line)},
-            key=len,
-            reverse=True,
-        )
-        header_args = "slots, frame, b"
-        for name in hoisted:
-            local = "np_" + name.replace(".", "_")
-            body = [line.replace(f"np.{name}(", f"{local}(") for line in body]
-            header_args += f", {local}=np.{name}"
-        # The generated source is assembled exclusively from this
-        # module's own emitters over trace-time metadata; nothing
-        # user-controlled reaches it (constants ride the C pool).
-        self.source = "\n".join(
-            [f"def _replay({header_args}):"] + body + [""]
-        )
-        namespace = {"np": np, "C": tuple(codegen.consts)}
-        exec(compile(self.source, "<repro.nn.jit.Tape>", "exec"), namespace)
-        self._fn = namespace["_replay"]
-        self._frame_specs = tuple(specs)
+        body = [*codegen.slot_lines, *frame_lines, *codegen.lines,
+                f"    return e{self._out_step}"]
+        self.source, self._fn = _compile(
+            "_replay", "slots, frame, b", body,
+            {"np": np, "C": tuple(codegen.consts)}, "<repro.nn.jit.Tape>")
+        self._frame_specs = tuple(pool.specs)
         #: step and planned-buffer counts, exposed for tests/diagnostics.
         self.num_steps = n
-        self.num_buffers = len(specs)
+        self.num_buffers = len(pool.specs)
 
     @property
     def frame_batch(self) -> int:
@@ -805,81 +798,67 @@ def _emit_where(cg, i, step, kind, buf_id, scratch_ids):
     cg.emit(f"e{i} = np.where({cond}, {a}, {b})")
 
 
-def _emit_fused_softmax(cg, i, step, kind, buf_id, scratch_ids):
-    a, buf = cg.ref(step.refs[0]), cg.buf(buf_id)
-    red = cg.buf(scratch_ids[0])
-    axis = cg.lit(step.meta["axis"])
-    cg.emit(f"np.maximum.reduce({a}, axis={axis}, out={red}, keepdims=True)")
-    cg.emit(f"np.subtract({a}, {red}, out={buf})")
-    cg.emit(f"np.exp({buf}, out={buf})")
-    cg.emit(f"np.add.reduce({buf}, axis={axis}, out={red}, keepdims=True)")
-    cg.emit(f"{buf} /= {red}")
-    cg.emit(f"e{i} = {buf}")
+class _Sym:
+    """An array in generated source for a kernel definition: the
+    trace-time ``shape``/``dtype`` it reads, and its source expression —
+    a string, or a callable rendering it on first use, so an operand the
+    definition never reads takes no constant-pool entry."""
+
+    __slots__ = ("shape", "dtype", "_text")
+
+    def __init__(self, text, like: np.ndarray):
+        self.shape, self.dtype = like.shape, like.dtype
+        self._text = text
+
+    def __str__(self) -> str:
+        if not isinstance(self._text, str):
+            self._text = self._text()
+        return self._text
 
 
-def _emit_fused_log_softmax(cg, i, step, kind, buf_id, scratch_ids):
-    a, buf = cg.ref(step.refs[0]), cg.buf(buf_id)
-    scratch, red = cg.buf(scratch_ids[0]), cg.buf(scratch_ids[1])
-    axis = cg.lit(step.meta["axis"])
-    cg.emit(f"np.maximum.reduce({a}, axis={axis}, out={red}, keepdims=True)")
-    cg.emit(f"np.subtract({a}, {red}, out={buf})")
-    cg.emit(f"np.exp({buf}, out={scratch})")
-    cg.emit(f"np.add.reduce({scratch}, axis={axis}, out={red}, keepdims=True)")
-    cg.emit(f"np.log({red}, out={red})")
-    cg.emit(f"e{i} = np.subtract({buf}, {red}, out={buf})")
+class _Record:
+    """Stand-in for :mod:`numpy` that writes a kernel definition as source.
+
+    ``rec.<fn>(...)`` with an ``out=`` argument becomes one line of the
+    generated function (and returns None); any other call becomes an
+    expression nested in the line that uses it.  Strings and
+    :class:`_Sym` arguments are source expressions (step outputs, slots,
+    frame buffers); everything else renders as a literal or a pool
+    constant.
+    """
+
+    __slots__ = ("_cg", "_path")
+
+    def __init__(self, cg: _Codegen, path: str = "np"):
+        self._cg = cg
+        self._path = path
+
+    def __getattr__(self, name: str) -> "_Record":
+        return _Record(self._cg, f"{self._path}.{name}")
+
+    def __call__(self, *args, **kwargs):
+        def render(value):
+            if isinstance(value, (str, _Sym)):
+                return str(value)
+            return self._cg.lit(value)
+
+        parts = [render(a) for a in args]
+        parts += [f"{key}={render(value)}" for key, value in kwargs.items()]
+        text = f"{self._path}({', '.join(parts)})"
+        if "out" not in kwargs:
+            return text
+        self._cg.emit(text)
+        return None
 
 
-def _emit_fused_layer_norm(cg, i, step, kind, buf_id, scratch_ids):
-    a = cg.ref(step.refs[0])
-    weight, bias = cg.ref(step.refs[1]), cg.ref(step.refs[2])
-    buf = cg.buf(buf_id)
-    scratch, red = cg.buf(scratch_ids[0]), cg.buf(scratch_ids[1])
-    eps = cg.lit(step.meta["eps"])
-    inv_count = cg.lit(1.0 / step.parent_datas[0].shape[-1])
-    cg.emit(f"np.add.reduce({a}, axis=-1, out={red}, keepdims=True)")  # mu
-    cg.emit(f"{red} *= {inv_count}")
-    cg.emit(f"np.subtract({a}, {red}, out={scratch})")  # centred
-    cg.emit(f"np.multiply({scratch}, {scratch}, out={buf})")
-    cg.emit(f"np.add.reduce({buf}, axis=-1, out={red}, keepdims=True)")  # var (mu dead)
-    cg.emit(f"{red} *= {inv_count}")
-    cg.emit(f"np.add({red}, {eps}, out={red})")
-    cg.emit(f"np.sqrt({red}, out={red})")  # std
-    cg.emit(f"np.divide({scratch}, {red}, out={scratch})")  # x-hat
-    cg.emit(f"np.multiply({scratch}, {weight}, out={buf})")
-    cg.emit(f"e{i} = np.add({buf}, {bias}, out={buf})")
-
-
-def _emit_fused_gelu(cg, i, step, kind, buf_id, scratch_ids):
-    a, buf = cg.ref(step.refs[0]), cg.buf(buf_id)
-    scratch = cg.buf(scratch_ids[0])
-    cg.emit(f"np.multiply({a}, {a}, out={scratch})")
-    cg.emit(f"np.multiply({scratch}, {a}, out={scratch})")
-    cg.emit(f"np.multiply({scratch}, {cg.lit(_GELU_COEFF)}, out={scratch})")
-    cg.emit(f"np.add({a}, {scratch}, out={scratch})")
-    cg.emit(f"np.multiply({scratch}, {cg.lit(_SQRT_2_OVER_PI)}, out={scratch})")
-    cg.emit(f"np.tanh({scratch}, out={scratch})")
-    cg.emit(f"np.multiply({a}, 0.5, out={buf})")
-    cg.emit(f"np.add({scratch}, 1.0, out={scratch})")
-    cg.emit(f"e{i} = np.multiply({buf}, {scratch}, out={buf})")
-
-
-def _emit_fused_dropout_residual(cg, i, step, kind, buf_id, scratch_ids):
-    x, residual = cg.ref(step.refs[0]), cg.ref(step.refs[1])
-    cg.emit(f"e{i} = np.add({residual}, {x}, out={cg.buf(buf_id)})")
-
-
-def _emit_fused_attention(cg, i, step, kind, buf_id, scratch_ids):
-    q, k, v = (cg.ref(ref) for ref in step.refs)
-    buf = cg.buf(buf_id)
-    scores, red = cg.buf(scratch_ids[0]), cg.buf(scratch_ids[1])
-    cg.emit(f"np.matmul({q}, np.swapaxes({k}, -1, -2), out={scores})")
-    cg.emit(f"{scores} *= {cg.lit(step.meta['scale'])}")
-    cg.emit(f"np.maximum.reduce({scores}, axis=-1, out={red}, keepdims=True)")
-    cg.emit(f"np.subtract({scores}, {red}, out={scores})")
-    cg.emit(f"np.exp({scores}, out={scores})")
-    cg.emit(f"np.add.reduce({scores}, axis=-1, out={red}, keepdims=True)")
-    cg.emit(f"{scores} /= {red}")
-    cg.emit(f"e{i} = np.matmul({scores}, {v}, out={buf})")
+def _emit_kernel(cg, i, step, kind, buf_id, scratch_ids):
+    """A fused op's forward, recorded from its :data:`KERNELS` definition."""
+    parents = [_Sym(partial(cg.ref, ref), data)
+               for ref, data in zip(step.refs, step.parent_datas)]
+    buffers = [cg.buf(b) for b in (buf_id, *scratch_ids)]
+    KERNELS[step.op].forward(_Record(cg), *parents, *buffers, **(step.meta or {}))
+    # The definition's last call writes the output buffer.
+    cg.lines[-1] = f"    e{i} = {cg.lines[-1].lstrip()}"
 
 
 _COMPILERS = {
@@ -907,10 +886,5 @@ _COMPILERS = {
     "stack": _emit_stack,
     "scatter": _emit_scatter,
     "where": _emit_where,
-    "fused_softmax": _emit_fused_softmax,
-    "fused_log_softmax": _emit_fused_log_softmax,
-    "fused_layer_norm": _emit_fused_layer_norm,
-    "fused_gelu": _emit_fused_gelu,
-    "fused_dropout_residual": _emit_fused_dropout_residual,
-    "fused_attention": _emit_fused_attention,
+    **dict.fromkeys(KERNELS, _emit_kernel),
 }

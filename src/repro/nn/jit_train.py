@@ -27,11 +27,15 @@ same tape machinery to the full training step — ``loss`` forward,
    graph construction, zero closure dispatch, zero per-op allocation
    for buffered steps, and in-place parameter updates.
 
-Every emitted kernel mirrors the *exact* numpy operation sequence of the
-interpreted op's backward closure (and of ``Adam.step``), so the compiled
-trajectory is **bitwise-identical** to the interpreted one: same
-per-batch losses, same final ``state_dict``, same RNG stream — resume,
-rollback and checkpoints stay exactly reproducible across the toggle.
+Every emitted primitive kernel mirrors the *exact* numpy operation
+sequence of the interpreted op's backward closure (and of ``Adam.step``);
+the fused kernels run their single definition from
+:data:`repro.nn.fused.KERNELS` — forward and backward — through the same
+recorder as the scoring tape, keeping the scratch buffers a backward
+reads alive until that op's backward step.  So the compiled trajectory is
+**bitwise-identical** to the interpreted one: same per-batch losses, same
+final ``state_dict``, same RNG stream — resume, rollback and checkpoints
+stay exactly reproducible across the toggle.
 
 Guard semantics extend the scoring tape's: a tape replays only while
 every traced parameter still binds its traced array (and requires-grad
@@ -60,22 +64,22 @@ from __future__ import annotations
 import os
 import sys
 import threading
+from functools import partial
 
 import numpy as np
 
 from .dtype import default_dtype
-from .fused import _GELU_COEFF, _SQRT_2_OVER_PI, fused_enabled
+from .fused import KERNELS, fused_enabled
 from .jit import (
-    _CONST,
-    _NP_CALL,
-    _SLOT,
     _STEP,
-    _classify,
     _Codegen,
+    _compile,
     _COMPILERS,
-    _reduced_shape,
-    _scratch_specs,
-    _Step,
+    _forward_scratch,
+    _liveness,
+    _Pool,
+    _Record,
+    _Sym,
     _TapeBuilder,
     TraceUnsupported,
 )
@@ -145,59 +149,17 @@ class _TrainTapeBuilder(_TapeBuilder):
 
     def __init__(self, slots: dict, params) -> None:
         super().__init__(slots, params)
-        self.data_step: dict[int, int] = {}
         self.parent_targets: list[tuple] = []
         self.sites: list[str | None] = []
         self.backward_items: list[int] = []
 
-    def after_forward(self, out, parents) -> None:
-        if self.failed is not None:
-            return
-        op = out.op
-        try:
-            if op not in _COMPILERS:
-                raise TraceUnsupported(f"op {op!r} has no replay kernel")
-            refs = tuple(self._resolve_parent(p) for p in parents)
-            meta = self._resolve_meta(op, getattr(out, "_meta", None))
-            targets = tuple(self._resolve_target(p) for p in parents)
-        except TraceUnsupported as error:
-            self.failed = str(error)
-            return
-        index = len(self.steps)
-        self.steps.append(
-            _Step(op, out.data, tuple(p.data for p in parents), refs, meta)
-        )
-        self.tensor_step[id(out)] = index
-        self.data_step[id(out.data)] = index
+    def _record(self, out, parents):
+        step = super()._record(out, parents)
+        targets = tuple(self._resolve_target(p) for p in parents)
+        self.data_step[id(out.data)] = len(self.steps)
         self.parent_targets.append(targets)
         self.sites.append(_capture_site())
-        self.keepalive.append(out)
-
-    def _resolve_parent(self, parent):
-        index = self.tensor_step.get(id(parent))
-        if index is not None:
-            return (_STEP, index)
-        data = parent.data
-        name = self._slot_ids.get(id(data))
-        if name is not None:
-            return (_SLOT, name)
-        param = self._param_ids.get(id(data))
-        if param is not None:
-            if id(param) not in self._guard_ids:
-                self._guard_ids.add(id(param))
-                self.guards.append((param, data))
-            return (_CONST, data)
-        # ``detach()`` wraps a traced step's array in a fresh leaf: the
-        # values are that step's output, so replay reads its buffer.
-        index = self.data_step.get(id(data))
-        if index is not None:
-            return (_STEP, index)
-        if data.size <= 1:
-            return (_CONST, data.copy())
-        raise TraceUnsupported(
-            f"leaf array of shape {data.shape} is neither a registered "
-            "input slot nor a parameter"
-        )
+        return step
 
     def _resolve_target(self, parent):
         """Where this parent's gradient accumulates, or None for no-grad."""
@@ -223,33 +185,6 @@ class _TrainTapeBuilder(_TapeBuilder):
         self.backward_items.append(index)
 
 # ----------------------------------------------------------------------
-# forward variant: GELU that keeps tanh(u) alive for its backward
-# ----------------------------------------------------------------------
-def _emit_train_gelu(cg, i, step, kind, buf_id, scratch_ids):
-    """``fused_gelu`` forward, value-identical to the scoring emitter, but
-    with ``t = tanh(u)`` landing in a persistent scratch (the scoring
-    emitter destroys it computing ``t + 1``)."""
-    a, buf = cg.ref(step.refs[0]), cg.buf(buf_id)
-    t, tmp = cg.buf(scratch_ids[0]), cg.buf(scratch_ids[1])
-    cg.emit(f"np.multiply({a}, {a}, out={t})")
-    cg.emit(f"np.multiply({t}, {a}, out={t})")
-    cg.emit(f"np.multiply({t}, {cg.lit(_GELU_COEFF)}, out={t})")
-    cg.emit(f"np.add({a}, {t}, out={t})")
-    cg.emit(f"np.multiply({t}, {cg.lit(_SQRT_2_OVER_PI)}, out={t})")
-    cg.emit(f"np.tanh({t}, out={t})")
-    cg.emit(f"np.multiply({a}, 0.5, out={buf})")
-    cg.emit(f"np.add({t}, 1.0, out={tmp})")
-    cg.emit(f"e{i} = np.multiply({buf}, {tmp}, out={buf})")
-
-
-#: Fused ops whose backward reads forward intermediates: how many leading
-#: scratch buffers must survive until the op's backward step runs.
-#: layer_norm keeps (x_hat, std); attention keeps the softmax weights;
-#: the train-gelu variant above keeps tanh(u).
-_PERSIST = {"fused_layer_norm": 2, "fused_attention": 1, "fused_gelu": 1}
-
-
-# ----------------------------------------------------------------------
 # backward kernel emitters
 # ----------------------------------------------------------------------
 class _BwdCtx:
@@ -257,27 +192,32 @@ class _BwdCtx:
 
     Wraps the codegen plus the gradient-contribution machinery so each
     per-op emitter below only spells out the closure's exact numpy
-    sequence.  ``contrib(k, raw_shape, recipe)`` routes one parent's raw
-    gradient (a string expression, or a callable emitting lines into a
-    target) through the same init-copy/accumulate semantics as
-    ``Tensor._accumulate``, including ``_unbroadcast`` when the raw shape
-    differs from the parent's.
+    sequence.  ``scratch(shape, dtype)`` is a pooled temporary living
+    only for this item; ``contrib(k, raw_shape, recipe)`` routes one
+    parent's raw gradient (a string expression, or a callable that
+    writes it into a target — returning its lines, or recording them
+    through :class:`repro.nn.jit._Record`) through the same
+    init-copy/accumulate semantics as ``Tensor._accumulate``, including
+    ``_unbroadcast`` when the raw shape differs from the parent's.  The
+    two make the context the ``grads`` argument of a
+    :data:`repro.nn.fused.KERNELS` backward.
     """
 
-    __slots__ = ("cg", "step", "index", "out", "g",
-                 "_targets", "_fwd", "_scratch", "_contribute")
+    __slots__ = ("cg", "step", "index", "out", "g", "saved", "targets",
+                 "scratch", "contrib")
 
     def __init__(self, cg, step, index, out, g, targets,
-                 fwd_scratch, scratch, contribute):
+                 saved, scratch, contrib):
         self.cg = cg
         self.step = step
         self.index = index
         self.out = out
         self.g = g
-        self._targets = targets
-        self._fwd = fwd_scratch
-        self._scratch = scratch
-        self._contribute = contribute
+        #: the op's forward scratch buffers its backward reads.
+        self.saved = saved
+        self.targets = targets
+        self.scratch = scratch
+        self.contrib = contrib
 
     @property
     def oshape(self):
@@ -299,30 +239,13 @@ class _BwdCtx:
     def lit(self, obj):
         return self.cg.lit(obj)
 
-    def line(self, text):
-        self.cg.emit(text)
-
     def wants(self, k):
-        return self._targets[k] is not None
-
-    def scratch(self, shape, dtype):
-        """A pooled temporary living only for this backward item."""
-        return self._scratch(tuple(shape), dtype)
-
-    def fwd(self, j):
-        """Expression for the op's j-th persisted forward scratch."""
-        return self._fwd[j]
-
-    def contrib(self, k, raw_shape, recipe):
-        self._contribute(k, tuple(raw_shape), recipe)
+        return self.targets[k] is not None
 
     def call(self, k, raw_shape, fn, *args):
         """Contribution computed by one ``np.<fn>(*args, out=target)``."""
         joined = ", ".join(args)
-        self._contribute(
-            k, tuple(raw_shape),
-            lambda target: [f"np.{fn}({joined}, out={target})"],
-        )
+        self.contrib(k, raw_shape, lambda target: [f"np.{fn}({joined}, out={target})"])
 
 
 def _bwd_add(ctx):
@@ -499,7 +422,7 @@ def _bwd_stack(ctx):
     axis = ctx.lit(ctx.step.meta["axis"])
     nparts = len(ctx.step.parent_datas)
     parts = f"aux{ctx.index}"
-    ctx.line(f"{parts} = np.split({ctx.g}, {nparts}, axis={axis})")
+    ctx.cg.emit(f"{parts} = np.split({ctx.g}, {nparts}, axis={axis})")
     for k, pdata in enumerate(ctx.step.parent_datas):
         ctx.contrib(k, pdata.shape,
                     f"np.squeeze({parts}[{k}], axis={axis})")
@@ -511,136 +434,14 @@ def _bwd_where(ctx):
     ctx.contrib(1, ctx.oshape, f"np.where({cond}, 0.0, {ctx.g})")
 
 
-def _bwd_fused_softmax(ctx):
-    axis = ctx.lit(ctx.step.meta["axis"])
-    work = ctx.scratch(ctx.oshape, ctx.odtype)
-    red = ctx.scratch(
-        _reduced_shape(ctx.oshape, ctx.step.meta["axis"]), ctx.odtype)
-
-    def lines(target):
-        return [
-            f"np.multiply({ctx.g}, {ctx.out}, out={work})",
-            f"np.add.reduce({work}, axis={axis}, out={red}, keepdims=True)",
-            f"np.subtract({ctx.g}, {red}, out={work})",
-            f"np.multiply({ctx.out}, {work}, out={target})",
-        ]
-
-    ctx.contrib(0, ctx.oshape, lines)
-
-
-def _bwd_fused_log_softmax(ctx):
-    axis = ctx.lit(ctx.step.meta["axis"])
-    work = ctx.scratch(ctx.oshape, ctx.odtype)
-    red = ctx.scratch(
-        _reduced_shape(ctx.oshape, ctx.step.meta["axis"]), ctx.odtype)
-
-    def lines(target):
-        return [
-            f"np.add.reduce({ctx.g}, axis={axis}, out={red}, keepdims=True)",
-            f"np.exp({ctx.out}, out={work})",
-            f"np.multiply({work}, {red}, out={work})",
-            f"np.subtract({ctx.g}, {work}, out={target})",
-        ]
-
-    ctx.contrib(0, ctx.oshape, lines)
-
-
-def _bwd_fused_layer_norm(ctx):
-    xshape, xdtype = ctx.pshape(0), ctx.pdtype(0)
-    count = xshape[-1]
-    x_hat, std = ctx.fwd(0), ctx.fwd(1)
-    weight = ctx.ref(1)
-    gw = ctx.scratch(xshape, xdtype)
-    work = ctx.scratch(xshape, xdtype)
-    g_mean = ctx.scratch(xshape[:-1] + (1,), xdtype)
-    g_hat_mean = ctx.scratch(xshape[:-1] + (1,), xdtype)
-    # ndarray.mean is add.reduce followed by an in-place divide-by-count.
-    ctx.line(f"np.multiply({ctx.g}, {weight}, out={gw})")
-    ctx.line(f"np.add.reduce({gw}, axis=-1, out={g_mean}, keepdims=True)")
-    ctx.line(f"np.divide({g_mean}, {count}, out={g_mean})")
-    ctx.line(f"np.multiply({gw}, {x_hat}, out={work})")
-    ctx.line(f"np.add.reduce({work}, axis=-1, out={g_hat_mean}, keepdims=True)")
-    ctx.line(f"np.divide({g_hat_mean}, {count}, out={g_hat_mean})")
-
-    def x_lines(target):
-        return [
-            f"np.subtract({gw}, {g_mean}, out={gw})",
-            f"np.multiply({x_hat}, {g_hat_mean}, out={work})",
-            f"np.subtract({gw}, {work}, out={gw})",
-            f"np.divide({gw}, {std}, out={target})",
-        ]
-
-    ctx.contrib(0, xshape, x_lines)
-    ctx.call(1, ctx.oshape, "multiply", ctx.g, x_hat)
-    ctx.contrib(2, ctx.oshape, ctx.g)
-
-
-def _bwd_fused_gelu(ctx):
-    a, g, t = ctx.ref(0), ctx.g, ctx.fwd(0)
-    shape, dtype = ctx.pshape(0), ctx.pdtype(0)
-    acc = ctx.scratch(shape, dtype)
-    tmp = ctx.scratch(shape, dtype)
-    tmp2 = ctx.scratch(shape, dtype)
-
-    def lines(target):
-        return [
-            # du = sqrt(2/pi) * (1 + 3 c a^2)
-            f"np.multiply({a}, {ctx.lit(3.0 * _GELU_COEFF)}, out={acc})",
-            f"np.multiply({acc}, {a}, out={acc})",
-            f"np.add({acc}, 1.0, out={acc})",
-            f"np.multiply({acc}, {ctx.lit(_SQRT_2_OVER_PI)}, out={acc})",
-            # 0.5 a (1 - t^2) du
-            f"np.multiply({t}, {t}, out={tmp})",
-            f"np.subtract(1.0, {tmp}, out={tmp})",
-            f"np.multiply({a}, 0.5, out={tmp2})",
-            f"np.multiply({tmp2}, {tmp}, out={tmp})",
-            f"np.multiply({tmp}, {acc}, out={acc})",
-            # + 0.5 (1 + t)
-            f"np.add({t}, 1.0, out={tmp})",
-            f"np.multiply({tmp}, 0.5, out={tmp})",
-            f"np.add({tmp}, {acc}, out={acc})",
-            f"np.multiply({g}, {acc}, out={target})",
-        ]
-
-    ctx.contrib(0, shape, lines)
-
-
-def _bwd_fused_dropout_residual(ctx):
-    # Mask-bearing nodes never reach compilation (the mask soft-fails the
-    # trace); closure order is residual first, then x.
-    ctx.contrib(1, ctx.oshape, ctx.g)
-    ctx.contrib(0, ctx.oshape, ctx.g)
-
-
-def _bwd_fused_attention(ctx):
-    q, k, v = ctx.step.parent_datas
-    gshape = ctx.oshape
-    sshape = q.shape[:-1] + (k.shape[-2],)
-    raw_v = tuple(np.broadcast_shapes(sshape[:-2], gshape[:-2])) + (
-        sshape[-1], gshape[-1])
-    raw_q = tuple(np.broadcast_shapes(sshape[:-2], k.shape[:-2])) + (
-        sshape[-2], k.shape[-1])
-    raw_k = tuple(np.broadcast_shapes(sshape[:-2], q.shape[:-2])) + (
-        sshape[-1], q.shape[-1])
-    if raw_q != q.shape or raw_k != k.shape or raw_v != v.shape:
-        raise TraceUnsupported("broadcast attention backward")
-    weights = ctx.fwd(0)
-    s1 = ctx.scratch(sshape, ctx.odtype)
-    s2 = ctx.scratch(sshape, ctx.odtype)
-    red = ctx.scratch(sshape[:-1] + (1,), ctx.odtype)
-    g = ctx.g
-    ctx.line(f"np.matmul({g}, np.swapaxes({ctx.ref(2)}, -1, -2), out={s1})")
-    ctx.contrib(2, raw_v, lambda target: [
-        f"np.matmul(np.swapaxes({weights}, -1, -2), {g}, out={target})"])
-    ctx.line(f"np.multiply({s1}, {weights}, out={s2})")
-    ctx.line(f"np.add.reduce({s2}, axis=-1, out={red}, keepdims=True)")
-    ctx.line(f"np.subtract({s1}, {red}, out={s2})")
-    ctx.line(f"np.multiply({weights}, {s2}, out={s2})")
-    ctx.line(f"np.multiply({s2}, {ctx.lit(ctx.step.meta['scale'])}, out={s2})")
-    ctx.contrib(0, raw_q, lambda target: [
-        f"np.matmul({s2}, {ctx.ref(1)}, out={target})"])
-    ctx.contrib(1, raw_k, lambda target: [
-        f"np.matmul(np.swapaxes({s2}, -1, -2), {ctx.ref(0)}, out={target})"])
+def _bwd_kernel(ctx):
+    """A fused op's backward, recorded from its ``KERNELS`` definition."""
+    step = ctx.step
+    parents = [_Sym(partial(ctx.ref, k), data)
+               for k, data in enumerate(step.parent_datas)]
+    KERNELS[step.op].backward(
+        _Record(ctx.cg), ctx, _Sym(ctx.g, step.out_data), *parents,
+        _Sym(ctx.out, step.out_data), *ctx.saved, **(step.meta or {}))
 
 
 #: op -> backward emitter.  ``max`` is deliberately absent: its
@@ -669,12 +470,7 @@ _BACKWARD = {
     "concat": _bwd_concat,
     "stack": _bwd_stack,
     "where": _bwd_where,
-    "fused_softmax": _bwd_fused_softmax,
-    "fused_log_softmax": _bwd_fused_log_softmax,
-    "fused_layer_norm": _bwd_fused_layer_norm,
-    "fused_gelu": _bwd_fused_gelu,
-    "fused_dropout_residual": _bwd_fused_dropout_residual,
-    "fused_attention": _bwd_fused_attention,
+    **dict.fromkeys(KERNELS, _bwd_kernel),
 }
 
 class TrainTape:
@@ -716,78 +512,30 @@ class TrainTape:
         for t, b in enumerate(items):
             if b in bw_pos:
                 raise TraceUnsupported("a backward closure ran twice")
-            bw_pos[b] = n + 1 + t
-        for b in items:
             if steps[b].op not in _BACKWARD:
-                raise TraceUnsupported(
-                    f"op {steps[b].op!r} has no backward kernel")
+                raise TraceUnsupported(f"op {steps[b].op!r} has no backward kernel")
+            bw_pos[b] = n + 1 + t
 
-        # ---- storage classification, exactly as the scoring tape ----
-        kinds = [None] * n
-        roots = [None] * n
-        for i, step in enumerate(steps):
-            kind = _classify(step)
-            kinds[i] = kind
-            if kind == "view":
-                ref_kind, payload = step.refs[0]
-                roots[i] = roots[payload] if ref_kind == _STEP else None
-            else:
-                roots[i] = i
-
-        # ---- liveness across the forward/backward boundary ----
-        # Forward reads as usual; additionally, a backward kernel may
-        # read its op's own output and any parent's data, so those
-        # storage roots stay alive until the kernel's position.  (This is
-        # conservative for ops whose backward only reads the incoming
-        # gradient — the interpreter retains every activation through
-        # backward anyway, so peak memory only improves.)
-        last_use = {}
-        for i, step in enumerate(steps):
-            for ref_kind, payload in step.refs:
-                if ref_kind == _STEP:
-                    root = roots[payload]
-                    if root is not None:
-                        last_use[root] = i
-        for index in [loss_step, *metric_steps]:
-            root = roots[index]
-            if root is not None:
-                last_use[root] = max(last_use.get(root, 0), n)
+        # ---- storage plan, as the scoring tape's ----
+        # Additionally, a backward kernel may read its op's own output
+        # and any parent's data, so those storage roots stay alive until
+        # the kernel's position.  (This is conservative for ops whose
+        # backward only reads the incoming gradient — the interpreter
+        # retains every activation through backward anyway, so peak
+        # memory only improves.)
+        pins = [(index, n) for index in [loss_step, *metric_steps]]
         for b, pos in bw_pos.items():
-            needed = [roots[b]]
-            needed += [roots[payload] for ref_kind, payload in steps[b].refs
-                       if ref_kind == _STEP]
-            for root in needed:
-                if root is not None:
-                    last_use[root] = max(last_use.get(root, -1), pos)
-        deaths = {}
-        for i in range(n):
-            if kinds[i] == "buffer":
-                deaths.setdefault(last_use.get(i, i), []).append(i)
+            pins.append((b, pos))
+            pins += [(payload, pos) for ref_kind, payload in steps[b].refs
+                     if ref_kind == _STEP]
+        kinds, deaths = _liveness(steps, pins)
 
         # ---- one buffer pool shared by all three phases ----
-        specs = []
-        free = {}
+        pool = _Pool()
         buffer_of = {}
 
         def acquire(shape, dtype, at):
-            key = (tuple(shape), str(dtype))
-            pool = free.get(key)
-            if pool:
-                for slot, (buf_id, avail_from) in enumerate(pool):
-                    if avail_from <= at:
-                        pool.pop(slot)
-                        return buf_id
-            specs.append((tuple(shape), np.dtype(dtype)))
-            return len(specs) - 1
-
-        def release(buf_id, shape, dtype, avail_from):
-            free.setdefault((tuple(shape), str(dtype)), []).append(
-                (buf_id, avail_from))
-
-        def dedicated(shape, dtype):
-            # Never pooled: the buffer outlives the call as param.grad.
-            specs.append((tuple(shape), np.dtype(dtype)))
-            return len(specs) - 1
+            return pool.acquire((tuple(shape), np.dtype(dtype)), at)
 
         codegen = _Codegen()
         tags = []
@@ -798,38 +546,26 @@ class TrainTape:
 
         def release_deaths(pos):
             for root in deaths.get(pos, ()):
-                owner = steps[root].out_data
-                release(buffer_of[root], owner.shape, owner.dtype, pos + 1)
+                pool.release(buffer_of[root], pos + 1)
 
         # ---- phase 1: forward ----
-        fwd_scratch = {}
-        persist_release = {}
+        saved = {}
         for i, step in enumerate(steps):
-            buf_id = None
-            scratch_ids = []
-            emitter = _COMPILERS[step.op]
+            buf_id, scratch_ids = None, []
             if kinds[i] == "buffer":
-                shape, dtype = step.out_data.shape, step.out_data.dtype
-                buf_id = acquire(shape, dtype, i)
+                scratch = _forward_scratch(step)
+                buf_id, *scratch_ids = [
+                    acquire(shape, dtype, i)
+                    for shape, dtype in [(step.out_data.shape, step.out_data.dtype), *scratch]]
                 buffer_of[i] = buf_id
-                persist = _PERSIST.get(step.op, 0) if i in bw_pos else 0
-                if persist and step.op == "fused_gelu":
-                    emitter = _emit_train_gelu
-                    parent = step.parent_datas[0]
-                    scratch = ((parent.shape, parent.dtype),
-                               (parent.shape, parent.dtype))
-                else:
-                    scratch = _scratch_specs(step)
-                for s_shape, s_dtype in scratch:
-                    scratch_ids.append(acquire(s_shape, s_dtype, i))
-                paired = list(zip(scratch_ids, scratch))
-                for sid, (s_shape, s_dtype) in paired[persist:]:
-                    release(sid, s_shape, s_dtype, i + 1)
+                # A fused op keeps the scratch its backward reads alive
+                # until that backward step.
+                persist = KERNELS[step.op].saved if scratch and i in bw_pos else 0
+                for sid in scratch_ids[persist:]:
+                    pool.release(sid, i + 1)
                 if persist:
-                    fwd_scratch[i] = [codegen.buf(sid)
-                                      for sid in scratch_ids[:persist]]
-                    persist_release[i] = paired[:persist]
-            emitter(codegen, i, step, kinds[i], buf_id, scratch_ids)
+                    saved[i] = scratch_ids[:persist]
+            _COMPILERS[step.op](codegen, i, step, kinds[i], buf_id, scratch_ids)
             tag_to("forward", step.op, builder.sites[i])
             release_deaths(i)
 
@@ -844,9 +580,7 @@ class TrainTape:
         initialized = set()
         graded_params = []
 
-        seed_shape = steps[loss_step].out_data.shape
-        seed_dtype = steps[loss_step].out_data.dtype
-        seed = acquire(seed_shape, seed_dtype, n)
+        seed = acquire(steps[loss_step].out_data.shape, steps[loss_step].out_data.dtype, n)
         grad_buf[("s", loss_step)] = seed
         initialized.add(("s", loss_step))
         codegen.emit(f"{codegen.buf(seed)}.fill(1.0)")
@@ -860,78 +594,60 @@ class TrainTape:
                 raise TraceUnsupported(
                     f"op {step.op!r} ran backward before receiving a gradient")
             item_scratches = []
+            targets = builder.parent_targets[b]
 
-            def scratch(shape, dtype, _pos=pos, _acc=item_scratches):
-                buf_id = acquire(tuple(shape), dtype, _pos)
-                _acc.append((buf_id, tuple(shape), dtype))
+            # Both closures run only while this item emits.
+            def scratch(shape, dtype):
+                buf_id = acquire(shape, dtype, pos)
+                item_scratches.append(buf_id)
                 return codegen.buf(buf_id)
 
-            targets = builder.parent_targets[b]
-            gdtype = step.out_data.dtype
-
-            def contribute(k, raw_shape, recipe, _pos=pos, _b=b,
-                           _targets=targets, _gdtype=gdtype,
-                           _scratch=scratch):
-                target = _targets[k]
+            def contribute(k, raw_shape, recipe):
+                raw_shape = tuple(raw_shape)
+                target = targets[k]
                 if target is None:
                     return
                 tkind, payload = target
-                if tkind == "s":
-                    tshape = tuple(steps[payload].out_data.shape)
-                    tdtype = steps[payload].out_data.dtype
-                    key = ("s", payload)
-                    buf_id = grad_buf.get(key)
-                    if buf_id is None:
-                        buf_id = grad_buf[key] = acquire(tshape, tdtype, _pos)
-                else:
-                    param = payload
-                    tshape = tuple(param.data.shape)
-                    tdtype = param.data.dtype
-                    key = ("p", id(param))
-                    buf_id = grad_buf.get(key)
-                    if buf_id is None:
-                        buf_id = grad_buf[key] = dedicated(tshape, tdtype)
-                        graded_params.append((param, buf_id))
-                if np.dtype(_gdtype) != np.dtype(tdtype):
+                owner = steps[payload].out_data if tkind == "s" else payload.data
+                tshape, tdtype = tuple(owner.shape), owner.dtype
+                key = (tkind, payload if tkind == "s" else id(payload))
+                buf_id = grad_buf.get(key)
+                if buf_id is None:
+                    if tkind == "s":
+                        buf_id = acquire(tshape, tdtype, pos)
+                    else:
+                        # Never pooled: it outlives the call as param.grad.
+                        buf_id = pool.new((tshape, np.dtype(tdtype)))
+                        graded_params.append((payload, buf_id))
+                    grad_buf[key] = buf_id
+                if step.out_data.dtype != tdtype:
                     raise TraceUnsupported("mixed-dtype gradient accumulation")
                 T = codegen.buf(buf_id)
                 first = key not in initialized
                 initialized.add(key)
                 if callable(recipe):
                     if raw_shape == tshape and first:
-                        for line in recipe(T):
+                        for line in recipe(T) or ():
                             codegen.emit(line)
                         return
-                    S = _scratch(raw_shape, tdtype)
-                    for line in recipe(S):
+                    S = scratch(raw_shape, tdtype)
+                    for line in recipe(S) or ():
                         codegen.emit(line)
-                    src = S if raw_shape == tshape else \
-                        f"ub({S}, {codegen.lit(tshape)})"
-                    if first:
-                        codegen.emit(f"np.copyto({T}, {src})")
-                    else:
-                        codegen.emit(f"np.add({T}, {src}, out={T})")
-                else:
-                    src = recipe if raw_shape == tshape else \
-                        f"ub({recipe}, {codegen.lit(tshape)})"
-                    if first:
-                        codegen.emit(f"np.copyto({T}, {src})")
-                    else:
-                        codegen.emit(f"np.add({T}, {src}, out={T})")
+                    recipe = S
+                src = recipe if raw_shape == tshape else \
+                    f"ub({recipe}, {codegen.lit(tshape)})"
+                codegen.emit(f"np.copyto({T}, {src})" if first
+                             else f"np.add({T}, {src}, out={T})")
 
             ctx = _BwdCtx(
                 codegen, step, b, f"e{b}",
                 codegen.buf(grad_buf[("s", b)]), targets,
-                fwd_scratch.get(b, ()), scratch, contribute,
+                [codegen.buf(sid) for sid in saved.get(b, ())], scratch, contribute,
             )
             _BACKWARD[step.op](ctx)
             tag_to("backward", step.op, builder.sites[b])
-            for buf_id, shape, dtype in item_scratches:
-                release(buf_id, shape, dtype, pos + 1)
-            release(grad_buf[("s", b)], tuple(step.out_data.shape),
-                    step.out_data.dtype, pos + 1)
-            for sid, (s_shape, s_dtype) in persist_release.get(b, ()):
-                release(sid, s_shape, s_dtype, pos + 1)
+            for buf_id in [*item_scratches, grad_buf[("s", b)], *saved.get(b, ())]:
+                pool.release(buf_id, pos + 1)
             release_deaths(pos)
 
         codegen.emit("yield None")
@@ -983,8 +699,8 @@ class TrainTape:
                 codegen.emit(f"np.divide({A}, {B}, out={A})")
                 codegen.emit(f"np.subtract({p_}, {A}, out={p_})")
                 tag_to("update", f"adam[{j}]", None)
-                release(a_id, shape, dtype, pos + 1)
-                release(b_id, shape, dtype, pos + 1)
+                pool.release(a_id, pos + 1)
+                pool.release(b_id, pos + 1)
                 opt_guards.append((j, param, optimizer._m[j], optimizer._v[j]))
 
         # ---- assembly ----
@@ -992,27 +708,14 @@ class TrainTape:
             f"    f{buf_id} = frame[{buf_id}]"
             for buf_id in sorted(codegen.used_buffers)
         ]
-        body = codegen.slot_lines + frame_lines + codegen.lines
-        hoisted = sorted(
-            {match.group(1) for line in body for match in _NP_CALL.finditer(line)},
-            key=len,
-            reverse=True,
-        )
-        header_args = "slots, frame, lr, bias1, bias2"
-        for name in hoisted:
-            local = "np_" + name.replace(".", "_")
-            body = [line.replace(f"np.{name}(", f"{local}(") for line in body]
-            header_args += f", {local}=np.{name}"
-        self.source = "\n".join(
-            [f"def _train_step({header_args}):"] + body + [""]
-        )
         self._consts = tuple(codegen.consts)
-        namespace = {"np": np, "C": self._consts, "ub": _unbroadcast}
-        exec(compile(self.source, _FILENAME, "exec"), namespace)
-        self._fn = namespace["_train_step"]
+        self.source, self._fn = _compile(
+            "_train_step", "slots, frame, lr, bias1, bias2",
+            codegen.slot_lines + frame_lines + codegen.lines,
+            {"np": np, "C": self._consts, "ub": _unbroadcast}, _FILENAME)
 
         self._tls = threading.local()
-        self._frame_specs = tuple(specs)
+        self._frame_specs = tuple(pool.specs)
         self._tags = tuple(tags)
         # Code lines start after the def line, the slot loads and the
         # frame loads: lineno -> tag index.
@@ -1034,7 +737,7 @@ class TrainTape:
         #: step/buffer counts, exposed for tests and diagnostics.
         self.num_steps = n
         self.num_backward = len(items)
-        self.num_buffers = len(specs)
+        self.num_buffers = len(pool.specs)
 
     def guards_ok(self, optimizer) -> bool:
         """True while the tape may replay for this model + optimizer.
@@ -1113,20 +816,16 @@ class TrainTape:
 # ----------------------------------------------------------------------
 # per-batch handles — one interpreted/tracing/compiled step each
 # ----------------------------------------------------------------------
-class _LegacyHandle:
-    """One train step through an overridden ``model.loss``.
-
-    Instance-level ``loss`` overrides (tests poisoning the objective,
-    user-wrapped losses) cannot be traced through the prelude/graph
-    split, so they run the original ``model.loss(windows)`` protocol
-    untouched.
-    """
+class _InterpretedHandle:
+    """One train step on the reference interpreted path."""
 
     compiled = False
 
-    def __init__(self, model, windows, optimizer):
+    def __init__(self, model, slots, optimizer):
+        self._start(optimizer, *model._loss_graph(slots))
+
+    def _start(self, optimizer, loss, metrics):
         self._optimizer = optimizer
-        loss, metrics = model.loss(windows)
         self._loss = loss
         self.loss_value = loss.item()
         self.metrics = {
@@ -1142,29 +841,20 @@ class _LegacyHandle:
         self._optimizer.step()
 
 
-class _InterpretedHandle:
-    """One train step on the reference interpreted path."""
+class _LegacyHandle(_InterpretedHandle):
+    """One train step through an overridden ``model.loss``.
 
-    compiled = False
+    Instance-level ``loss`` overrides (tests poisoning the objective,
+    user-wrapped losses) cannot be traced through the prelude/graph
+    split, so they run the original ``model.loss(windows)`` protocol
+    untouched.
+    """
 
-    def __init__(self, model, slots, optimizer):
-        self._optimizer = optimizer
-        loss, metric_tensors = model._loss_graph(slots)
-        self._loss = loss
-        self.loss_value = loss.item()
-        self.metrics = {
-            name: value.item() for name, value in metric_tensors.items()
-        }
-
-    def backward(self):
-        self._optimizer.zero_grad()
-        self._loss.backward()
-
-    def apply_update(self):
-        self._optimizer.step()
+    def __init__(self, model, windows, optimizer):
+        self._start(optimizer, *model.loss(windows))
 
 
-class _TracingHandle:
+class _TracingHandle(_InterpretedHandle):
     """One interpreted step recorded through the op hook.
 
     The batch trains on its own interpreted results — compilation
@@ -1172,37 +862,27 @@ class _TracingHandle:
     trajectory never depends on whether the trace succeeds.
     """
 
-    compiled = False
-
     def __init__(self, owner, key, model, slots, optimizer):
         self._owner = owner
         self._key = key
-        self._optimizer = optimizer
-        builder = _TrainTapeBuilder(slots, model.parameters())
-        self._builder = builder
-        with op_hook(builder):
-            loss, metric_tensors = model._loss_graph(slots)
-        self._loss = loss
-        self._metric_tensors = metric_tensors
-        self.loss_value = loss.item()
-        self.metrics = {
-            name: value.item() for name, value in metric_tensors.items()
-        }
+        self._builder = _TrainTapeBuilder(slots, model.parameters())
+        with op_hook(self._builder):
+            loss, self._metric_tensors = model._loss_graph(slots)
+        self._start(optimizer, loss, self._metric_tensors)
 
     def backward(self):
-        self._optimizer.zero_grad()
         with op_hook(self._builder):
-            self._loss.backward()
+            super().backward()
 
     def apply_update(self):
-        self._optimizer.step()
+        super().apply_update()
         tape = None
         if self._builder.failed is None:
             try:
                 tape = TrainTape(self._builder, self._loss,
                                  self._metric_tensors, self._optimizer)
             except TraceUnsupported:
-                tape = None
+                pass
         self._owner._store(self._key, tape)
 
 

@@ -71,6 +71,8 @@ class Dropout(Module):
 
     def __init__(self, p: float, rng: np.random.Generator | None = None):
         super().__init__()
+        if not 0.0 <= p < 1.0:
+            raise ValueError(f"dropout probability must be in [0, 1), got {p}")
         self.p = p
         # Documented interactive fallback: every repro code path passes a
         # seeded generator; the default only serves ad-hoc REPL use.

@@ -32,6 +32,13 @@ class TestValidation:
         with pytest.raises(ValueError):
             TFMAEConfig(use_temporal_branch=False, use_frequency_branch=False)
 
+    def test_rejects_out_of_range_dropout(self):
+        for dropout in (-0.2, 1.0, 1.5):
+            with pytest.raises(ValueError, match="dropout"):
+                TFMAEConfig(dropout=dropout)
+        assert TFMAEConfig(dropout=0.0).dropout == 0.0
+        assert TFMAEConfig(dropout=0.5).dropout == 0.5
+
     def test_rejects_indivisible_heads(self):
         with pytest.raises(ValueError):
             TFMAEConfig(d_model=100, num_heads=3)

@@ -53,6 +53,16 @@ class TestDropout:
         x = Tensor(rng.normal(size=(4, 4)))
         assert layer(x) is x
 
+    @pytest.mark.parametrize("p", [-0.2, 1.0, 1.5])
+    def test_rejects_out_of_range_probability(self, rng, p):
+        with pytest.raises(ValueError, match="dropout probability"):
+            Dropout(p, rng)
+
+    def test_accepts_zero(self, rng):
+        layer = Dropout(0.0, rng)
+        x = Tensor(rng.normal(size=(2, 3)))
+        assert layer(x) is x
+
 
 class TestConv1d:
     def test_same_padding_preserves_length(self, rng):
