@@ -53,7 +53,8 @@ class TFMAEConfig:
     # softly on untraceable steps.  The process-wide
     # repro.nn.jit_train.set_train_jit toggle gates it as well.
     train_jit: bool = True
-    # Most cached tapes per model (scoring) and per trainer (train step).
+    # Most cached scoring tapes (and, through the trainer, train-step
+    # tapes) per architecture: models of one config share their tapes.
     # Evictions are counted on the model/train-step objects for the benches.
     jit_cache_size: int = 8
 

@@ -47,7 +47,14 @@ class TFMAE(BaseDetector):
         # selection against a synthetic probe built from it.
         self._validation_for_selection = validation
         super().fit(train, validation)
+        self._release_frames()
         return self
+
+    def _release_frames(self) -> None:
+        # The probe and calibration scoring planned scoring frames on this
+        # thread; a training thread seldom serves, so they go with the fit
+        # (the tapes stay cached for every model of the architecture).
+        self.model._tape_cache.release_frames()
 
     def _fit(self, train: np.ndarray) -> None:
         self.model = TFMAEModel(n_features=train.shape[1], config=self.config)
@@ -97,6 +104,7 @@ class TFMAE(BaseDetector):
         trainer = TFMAETrainer(self.model, config)
         self.training_log = trainer.fit(recent, validation=validation)
         self.calibrate_threshold(validation if validation is not None else recent)
+        self._release_frames()
         return self
 
     def score(self, series: np.ndarray) -> np.ndarray:

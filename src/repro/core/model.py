@@ -19,8 +19,6 @@ which keeps the "w/o Fre"/"w/o Tem" rows of Table IV trainable.
 
 from __future__ import annotations
 
-import threading
-
 import numpy as np
 
 from .. import nn
@@ -35,9 +33,10 @@ from .config import TFMAEConfig
 
 __all__ = ["TemporalBranch", "FrequencyBranch", "TFMAEModel"]
 
-#: Negative-cache marker: this specialization key hit a trace-unsupported
-#: op; keep using the interpreted path without re-tracing every call.
-_UNSUPPORTED = object()
+#: Negative-cache marker shared with every tape cache: this specialization
+#: key hit a trace-unsupported op; keep using the interpreted path without
+#: re-tracing every call.
+_UNSUPPORTED = jit._UNSUPPORTED
 
 #: Scoring-prelude slots whose leading axis is the batch (the positional
 #: encodings ``t_pe``/``f_pe`` are per window length, not per window);
@@ -268,16 +267,18 @@ class TFMAEModel(Module):
         else:
             self.frequency = None
 
-        # Compiled scoring tapes keyed (window length, features, compute
-        # dtype, fused policy) — one tape replays every batch size;
-        # _UNSUPPORTED negative-caches untraceable keys.  A least-recently
-        # used cache: a hit moves its entry to the end, and entries past
-        # config.jit_cache_size (default 8) are evicted from the front.
-        # Traces, replays and evictions are counted for the benches.
-        # Scoring threads share the cache; _tapes_lock guards its lookups
-        # and mutations, never a trace or a replay.
-        self._tapes: dict = {}
-        self._tapes_lock = threading.Lock()
+        # Compiled tapes live in one cache per architecture, shared by
+        # every model built with the same (type, n_features, config) and
+        # held for as long as any of them lives.  _tapes views its scoring
+        # entries, keyed (window length, features, compute dtype, fused
+        # policy, parameter signature): one tape replays every batch size
+        # and every model of the architecture, with the weights bound at
+        # replay; _UNSUPPORTED negative-caches untraceable keys.  Least
+        # recently used entries past config.jit_cache_size are evicted.
+        # This model's traces, replays and evictions are counted for the
+        # benches.
+        self._tape_cache = jit.shared_cache(type(self), n_features, self.config)
+        self._tapes = self._tape_cache.view("score")
         self.jit_traces = 0
         self.jit_replays = 0
         self.jit_evictions = 0
@@ -293,6 +294,12 @@ class TFMAEModel(Module):
         # once when the model opts into reduced precision.
         if self.compute_dtype != np.float64:
             self.to_dtype(self.compute_dtype)
+
+        # The parameters compiled tapes bind per call, in traced order.
+        # The module tree is fixed once __init__ returns (the shared
+        # architecture cache relies on that too), so the list is built
+        # once; loads rebind each parameter's array, not the parameter.
+        self._params = list(self.parameters())
 
     # ------------------------------------------------------------------
     # forward passes
@@ -398,8 +405,10 @@ class TFMAEModel(Module):
         When tape-replay scoring is enabled (:func:`repro.nn.jit.use_jit`,
         the default) the tensor-graph stage runs from a compiled tape
         after the first call per (window length, features, dtype,
-        fused-policy) key; the tape replays at any batch size, and its
-        output is bitwise-identical to the interpreted graph at that size.
+        fused-policy, parameter signature) key by *any* model of this
+        architecture; the tape replays at any batch size over this
+        model's current weights, and its output is bitwise-identical to
+        the interpreted graph at that size.
         """
         if jit.jit_enabled():
             return self._jit_score(windows)
@@ -444,32 +453,23 @@ class TFMAEModel(Module):
     def _jit_score(self, windows: np.ndarray) -> np.ndarray:
         self._validate_windows(windows)
         _, length, features = windows.shape
-        key = (length, features, self.compute_dtype, fused.fused_enabled())
         with nn.no_grad(), nn.default_dtype(self.compute_dtype):
             slots = self._score_prelude(windows)
-            with self._tapes_lock:
-                tape = self._tapes.pop(key, None)
-                if tape is not None:
-                    self._tapes[key] = tape  # a hit refreshes its LRU position
-            if tape is _UNSUPPORTED or not len(windows):
-                score = self._score_graph(slots)
-                return self._score_post(score.data, interpreted=True)
+            if not len(windows):
+                return self._score_post(self._score_graph(slots).data, interpreted=True)
+            params = self._params
+            key = (length, features, self.compute_dtype, fused.fused_enabled(),
+                   jit.signature(params))
+            tape = self._tape_cache.lookup("score", key)
+            if tape is _UNSUPPORTED:
+                return self._score_post(self._score_graph(slots).data, interpreted=True)
             if tape is not None:
-                if tape.guards_ok():
-                    self.jit_replays += 1
-                    return self._score_post(tape.replay(slots))
-                # A parameter array was rebound (checkpoint load, publish,
-                # dtype cast): every cached tape refers to stale arrays.
-                with self._tapes_lock:
-                    self._tapes.clear()
+                self.jit_replays += 1
+                return self._score_post(tape.replay(slots, params))
             self.jit_traces += 1
             out, tape = jit.trace(
-                lambda: self._score_graph(slots), slots, self.parameters(),
-                _BATCHED_SLOTS,
+                lambda: self._score_graph(slots), slots, params, _BATCHED_SLOTS,
             )
-            with self._tapes_lock:
-                self._tapes[key] = tape if tape is not None else _UNSUPPORTED
-                while len(self._tapes) > self.config.jit_cache_size:
-                    self._tapes.pop(next(iter(self._tapes)))
-                    self.jit_evictions += 1
+            self.jit_evictions += self._tape_cache.store(
+                "score", key, tape, self.config.jit_cache_size)
             return self._score_post(out.data, interpreted=True)

@@ -13,12 +13,12 @@ never uses.  This module removes all of it from the scoring hot path:
 2. **Compile** — the step list becomes a :class:`Tape`: the whole tape
    is code-generated into **one** Python function (``exec``-compiled
    once at build time) whose body is the raw numpy kernel sequence —
-   step outputs are locals, input slots and frame buffers are hoisted
-   once per call, baked constants live in a captured pool.  A small
-   liveness planner reuses output buffers across steps (a buffer freed
-   at step ``s`` is reusable from ``s + 1``, so a kernel never aliases
-   its own inputs); pure views (``transpose``, sharing ``reshape``/
-   ``getitem``) are recreated per call instead of buffered.
+   step outputs are locals, input slots, parameters and frame buffers
+   are hoisted once per call, baked constants live in a captured pool.
+   A small liveness planner reuses output buffers across steps (a buffer
+   freed at step ``s`` is reusable from ``s + 1``, so a kernel never
+   aliases its own inputs); pure views (``transpose``, sharing
+   ``reshape``/``getitem``) are recreated per call instead of buffered.
 3. **Replay** — subsequent calls with the same specialization key call
    the generated function over a per-thread buffer frame: zero tensor
    wrapping, zero graph construction, zero per-step dispatch, zero
@@ -42,16 +42,27 @@ Argument references are resolved **by identity** at trace time:
   looked up fresh on every replay (this is how data-dependent values —
   mask indices, positional encodings, the windows themselves — stay
   dynamic);
-* a parameter's array → baked into the constant pool and protected
-  by a **guard**: before replay, :meth:`Tape.guards_ok` checks
-  ``param.data is traced_array`` for every referenced parameter, so
-  rebinding parameters (``load_state_dict``, publish/refit,
-  ``to_dtype``) invalidates the tape, while in-place optimizer updates
-  keep the identity and are picked up automatically;
+* a parameter's array → its index ``k`` in the traced parameter list.
+  The generated function reads ``P[k]`` from the list bound at each
+  replay, so a tape holds no weights: in-place optimizer updates,
+  rebound arrays (``load_state_dict``, publish/refit) and other models
+  of the same architecture all replay the weights they hold now;
 * any other array of ``size <= 1`` → baked as a constant;
 * anything else → :class:`TraceUnsupported`, which soft-fails the trace
   (the interpreted result is still returned; the caller caches the key
   as unsupported and keeps using the interpreted path).
+
+**Binding semantics.**  A tape replays any parameter list with the
+traced :func:`signature` — count, shapes, dtypes and requires-grad
+flags — and nothing else checks the binding, so the signature is part
+of every cache key.  One :class:`TapeCache` per architecture (for TFMAE
+``(type(model), n_features, config)``, see :func:`shared_cache`) holds
+the tapes of every model built with that key: a second model, a reload
+or a refit replays the tapes the first one traced.  A model holds its
+cache strongly and :func:`shared_cache` weakly, so a cache lives as long
+as its longest-lived model.  A fused kernel reading a parameter of another
+dtype than its output is not traced (the interpreter computes it at the
+wider dtype and casts once).
 
 Every replay kernel mirrors the *exact* numpy operation sequence of the
 interpreted op, so replay output is bitwise-identical to the interpreted
@@ -76,6 +87,8 @@ from __future__ import annotations
 
 import re
 import threading
+import weakref
+from collections.abc import Mapping
 from functools import partial
 
 import numpy as np
@@ -89,7 +102,11 @@ __all__ = [
     "set_jit",
     "use_jit",
     "trace",
+    "signature",
     "Tape",
+    "TapeCache",
+    "shared_cache",
+    "cache_stats",
     "TraceUnsupported",
 ]
 
@@ -108,8 +125,9 @@ class TraceUnsupported(RuntimeError):
 
 
 # Argument-reference kinds: an earlier step's output, a named input
-# slot (resolved fresh each replay), or a baked constant.
-_STEP, _SLOT, _CONST = 0, 1, 2
+# slot (resolved fresh each replay), a baked constant, or a parameter —
+# an index into the parameter list bound at each replay.
+_STEP, _SLOT, _CONST, _PARAM = 0, 1, 2, 3
 
 
 class _Step:
@@ -140,7 +158,10 @@ class _TapeBuilder:
             for name, value in slots.items()
             if isinstance(value, np.ndarray)
         }
-        self._param_ids = {id(p.data): p for p in params}
+        #: the traced parameter list; a tape reads parameter ``k`` as
+        #: ``P[k]`` of the list bound at each replay.
+        self.params = list(params)
+        self._param_ids = {id(p.data): k for k, p in enumerate(self.params)}
         self.steps: list[_Step] = []
         self.tensor_step: dict[int, int] = {}
         #: output-array identity -> step; filled by the train-step builder,
@@ -150,9 +171,11 @@ class _TapeBuilder:
         # the trace: under no_grad the graph holds no parent references,
         # and a collected tensor's id could be reused mid-trace.
         self.keepalive: list = []
-        self.guards: list = []
-        self._guard_ids: set[int] = set()
         self.failed: str | None = None
+        if len(self._param_ids) != len(self.params):
+            # Tied parameters: a tape would read both through one index,
+            # which another model of the architecture need not share.
+            self.failed = "two parameters share one array"
 
     # -- hook interface -------------------------------------------------
     def after_forward(self, out, parents) -> None:
@@ -173,6 +196,15 @@ class _TapeBuilder:
         if op not in _COMPILERS:
             raise TraceUnsupported(f"op {op!r} has no replay kernel")
         refs = tuple(self._resolve_parent(p) for p in parents)
+        if op in KERNELS:
+            for ref, parent in zip(refs, parents):
+                if ref[0] == _PARAM and parent.data.dtype != out.data.dtype:
+                    # The interpreter computes such a kernel at the wider
+                    # dtype and casts once; the tape's out= buffers would
+                    # round at every step.
+                    raise TraceUnsupported(
+                        f"{op} reads a {parent.data.dtype} parameter into a "
+                        f"{out.data.dtype} output")
         meta = self._resolve_meta(op, getattr(out, "_meta", None))
         return _Step(op, out.data, tuple(p.data for p in parents), refs, meta)
 
@@ -185,12 +217,9 @@ class _TapeBuilder:
         name = self._slot_ids.get(id(data))
         if name is not None:
             return (_SLOT, name)
-        param = self._param_ids.get(id(data))
-        if param is not None:
-            if id(param) not in self._guard_ids:
-                self._guard_ids.add(id(param))
-                self.guards.append((param, data))
-            return (_CONST, data)
+        index = self._param_ids.get(id(data))
+        if index is not None:
+            return (_PARAM, index)
         # A ``detach()`` leaf holds a traced step's output: read its buffer.
         index = self.data_step.get(id(data))
         if index is not None:
@@ -237,14 +266,16 @@ class _TapeBuilder:
 def trace(fn, slots: dict, params, batched):
     """Run ``fn()`` once under the tape builder.
 
-    ``batched`` names the input slots whose leading axis is the batch;
-    the first one present in ``slots`` supplies the batch size on every
-    replay.  Returns ``(out, tape)`` where ``out`` is the traced call's
-    own result tensor (always valid — use it for this call's answer) and
-    ``tape`` is a compiled :class:`Tape` replayable at any batch size,
-    or ``None`` when the forward hit a trace-unsupported op or is not
-    batch-polymorphic (negative-cache the key and stay on the
-    interpreted path).
+    ``params`` is the parameter list every replay binds anew (see
+    :meth:`Tape.replay`); ``batched`` names the input slots whose leading
+    axis is the batch; the first one present in ``slots`` supplies the
+    batch size on every replay.  Returns ``(out, tape)`` where ``out`` is
+    the traced call's own result tensor (always valid — use it for this
+    call's answer) and ``tape`` is a compiled :class:`Tape` replayable at
+    any batch size over any parameter list of the same
+    :func:`signature`, or ``None`` when the forward hit a
+    trace-unsupported op or is not batch-polymorphic (negative-cache the
+    key and stay on the interpreted path).
     """
     builder = _TapeBuilder(slots, params)
     with op_hook(builder):
@@ -356,21 +387,22 @@ def _compile(name: str, args: str, body: list[str], namespace: dict, filename: s
     Every ``np.<fn>`` the body references is hoisted into a default
     argument, bound once at compile: each kernel line then reaches its
     function through one LOAD_FAST instead of a global plus attribute
-    chain — measurable across ~hundreds of lines per replay.  Longest
-    names first so ``np.add.at`` never gets half-rewritten by the
-    ``np.add`` pass.  The source is assembled exclusively from this
-    package's own emitters over trace-time metadata; nothing
-    user-controlled reaches it (constants ride the ``C`` pool).
+    chain — measurable across ~hundreds of lines per replay.  One
+    :data:`_NP_CALL` pass rewrites every call token (``np.add.at(`` and
+    ``np.add(`` are distinct matches), and the hoisted arguments are
+    sorted, so the same graph always compiles to the same source.  The
+    source is assembled exclusively from this package's own emitters over
+    trace-time metadata; nothing user-controlled reaches it (constants
+    ride the ``C`` pool).
     """
-    hoisted = sorted(
-        {match.group(1) for line in body for match in _NP_CALL.finditer(line)},
-        key=len,
-        reverse=True,
-    )
-    for fn in hoisted:
-        local = "np_" + fn.replace(".", "_")
-        body = [line.replace(f"np.{fn}(", f"{local}(") for line in body]
-        args += f", {local}=np.{fn}"
+    hoisted = set()
+
+    def local(match) -> str:
+        hoisted.add(match.group(1))
+        return "np_" + match.group(1).replace(".", "_") + "("
+
+    body = [_NP_CALL.sub(local, line) for line in body]
+    args += "".join(f", np_{fn.replace('.', '_')}=np.{fn}" for fn in sorted(hoisted))
     source = "\n".join([f"def {name}({args}):"] + body + [""])
     exec(compile(source, filename, "exec"), namespace)
     return source, namespace[name]
@@ -504,12 +536,13 @@ class _Codegen:
     """Accumulates the generated replay source and its constant pool.
 
     The whole tape compiles to **one** generated Python function: every
-    step's output is a local variable (``e<i>``), input slots and frame
-    buffers are hoisted to locals once per call, and baked constants
-    (parameter arrays, index tuples) live in the ``C`` pool captured in
-    the function's globals.  This removes all per-step dispatch — no
-    closure calls, no argument getters, no env list — leaving only the
-    raw numpy kernel sequence.
+    step's output is a local variable (``e<i>``); input slots, bound
+    arrays (parameters ``P[k]``, and a train step's Adam moments) and
+    frame buffers are hoisted to locals once per call; baked constants
+    (index tuples, scalars) live in the ``C`` pool captured in the
+    function's globals.  This removes all per-step dispatch — no closure
+    calls, no argument getters, no env list — leaving only the raw numpy
+    kernel sequence.
     """
 
     def __init__(self, batched=()):
@@ -517,6 +550,8 @@ class _Codegen:
         self.consts: list = []
         self.slot_vars: dict[str, str] = {}
         self.slot_lines: list[str] = []
+        self.bound_vars: dict[tuple, str] = {}
+        self.bound_lines: list[str] = []
         self.used_buffers: set[int] = set()
         #: steps whose output leads with the symbolic batch ``b`` (scoring
         #: tapes only; train-step tapes keep every shape concrete).
@@ -547,9 +582,22 @@ class _Codegen:
             self.slot_lines.append(f"    {var} = slots[{name!r}]")
         return var
 
+    def bound(self, var: str, arg: str, index: int) -> str:
+        """Local ``<var><index>`` hoisted from the replay argument list ``arg``."""
+        name = self.bound_vars.get((arg, index))
+        if name is None:
+            name = self.bound_vars[(arg, index)] = f"{var}{index}"
+            self.bound_lines.append(f"    {name} = {arg}[{index}]")
+        return name
+
     def ref(self, ref) -> str:
-        """Expression for an argument ref (step output, slot or constant)."""
-        return f"e{ref[1]}" if ref[0] == _STEP else self.obj(ref)
+        """Expression for an argument ref (step output, slot, parameter or
+        constant)."""
+        if ref[0] == _STEP:
+            return f"e{ref[1]}"
+        if ref[0] == _PARAM:
+            return self.bound("p", "P", ref[1])
+        return self.obj(ref)
 
     def obj(self, ref) -> str:
         """Expression for a metadata object ref (slot or constant)."""
@@ -592,12 +640,13 @@ class Tape:
     collide, while repeated calls on one thread reuse the same memory
     with zero allocation for buffered steps.  A frame is planned at the
     largest batch its thread has replayed; batched buffers are replayed
-    as leading-row views of it.
+    as leading-row views of it.  Parameters are replay arguments, so one
+    tape serves every model whose parameter list has the traced
+    :func:`signature`.
     """
 
     def __init__(self, builder: _TapeBuilder, out_id: int, slots: dict, batched):
         steps = builder.steps
-        self._guards = tuple(builder.guards)
         self._out_step = builder.tensor_step[out_id]
         self._tls = threading.local()
         batched = [name for name in batched if isinstance(slots.get(name), np.ndarray)]
@@ -642,10 +691,10 @@ class Tape:
             f"    f{buf_id} = frame[{buf_id}]" + ("[:b]" if pool.specs[buf_id][0] else "")
             for buf_id in sorted(codegen.used_buffers)
         ]
-        body = [*codegen.slot_lines, *frame_lines, *codegen.lines,
-                f"    return e{self._out_step}"]
+        body = [*codegen.slot_lines, *codegen.bound_lines, *frame_lines,
+                *codegen.lines, f"    return e{self._out_step}"]
         self.source, self._fn = _compile(
-            "_replay", "slots, frame, b", body,
+            "_replay", "slots, frame, b, P", body,
             {"np": np, "C": tuple(codegen.consts)}, "<repro.nn.jit.Tape>")
         self._frame_specs = tuple(pool.specs)
         #: step and planned-buffer counts, exposed for tests/diagnostics.
@@ -657,18 +706,13 @@ class Tape:
         """The batch this thread's frame is planned at (0 before replay)."""
         return getattr(self._tls, "batch", 0)
 
-    def guards_ok(self) -> bool:
-        """True while every traced parameter still binds its traced array."""
-        for param, data in self._guards:
-            if param.data is not data:
-                return False
-        return True
+    def replay(self, slots: dict, params) -> np.ndarray:
+        """Execute the tape over fresh ``slots`` and the arrays of ``params``.
 
-    def replay(self, slots: dict) -> np.ndarray:
-        """Execute the tape over fresh ``slots``; returns the output array.
-
-        The result may live in a reused frame buffer — callers that
-        retain it across calls must copy.
+        ``params`` must have the traced :func:`signature` (a
+        :class:`TapeCache` key carries it).  The result may live in a
+        reused frame buffer — callers that retain it across calls must
+        copy.
         """
         batch = slots[self._batch_slot].shape[0]
         tls = self._tls
@@ -677,12 +721,204 @@ class Tape:
             # it has replayed; the old frame goes first so the two never
             # coexist.
             tls.frame = None
-            tls.frame = [
+            tls.frame = _new_frame("score", [
                 np.empty((batch, *dims) if batched else dims, dtype)
                 for batched, dims, dtype in self._frame_specs
-            ]
+            ])
             tls.batch = batch
-        return self._fn(slots, tls.frame, batch)
+        return self._fn(slots, tls.frame, batch, [p.data for p in params])
+
+    def release_frame(self) -> None:
+        """Free this thread's frame; its next replay plans a new one."""
+        self._tls.frame = None
+        self._tls.batch = 0
+
+
+def signature(params) -> tuple:
+    """The structure a tape binds: per parameter its shape, dtype and
+    requires-grad flag.  Part of every :class:`TapeCache` key, so a
+    parameter list replays only tapes traced over the same structure."""
+    return tuple((p.data.shape, p.data.dtype, p.requires_grad) for p in params)
+
+
+# ----------------------------------------------------------------------
+# frames and the per-architecture tape cache
+# ----------------------------------------------------------------------
+class _Frame(list):
+    """A tape's planned buffers; weakly referenced by the bytes gauge."""
+
+    __slots__ = ("__weakref__",)
+
+
+#: Tape kinds a cache holds, and the counters it keeps per kind.
+_KINDS = ("score", "train")
+_COUNTERS = ("traces", "replays", "evictions", "fallbacks")
+
+#: Bytes held by live frames per kind; a frame's bytes leave the gauge
+#: when it is freed.
+_FRAME_BYTES = dict.fromkeys(_KINDS, 0)
+_FRAME_LOCK = threading.RLock()
+
+
+def _new_frame(kind: str, buffers) -> _Frame:
+    frame = _Frame(buffers)
+    nbytes = sum(buffer.nbytes for buffer in frame)
+    with _FRAME_LOCK:
+        _FRAME_BYTES[kind] += nbytes
+    weakref.finalize(frame, _free_frame, kind, nbytes)
+    return frame
+
+
+def _free_frame(kind: str, nbytes: int) -> None:
+    with _FRAME_LOCK:
+        _FRAME_BYTES[kind] -= nbytes
+
+
+#: Negative-cache sentinel: the key hit a trace-unsupported op, so every
+#: model of the architecture stays on the interpreted path for it.
+_UNSUPPORTED = object()
+
+
+class _Entries(Mapping):
+    """A live, read-only view of one kind's entries, in LRU order
+    (least recently used first); ``clear()`` drops them from the cache."""
+
+    def __init__(self, cache: "TapeCache", kind: str):
+        self._cache, self._kind = cache, kind
+
+    def _snapshot(self) -> dict:
+        with self._cache._lock:
+            return {key: entry for (kind, key), entry in self._cache._entries.items()
+                    if kind == self._kind}
+
+    def __getitem__(self, key):
+        return self._snapshot()[key]
+
+    def __iter__(self):
+        return iter(self._snapshot())
+
+    def __len__(self) -> int:
+        return len(self._snapshot())
+
+    def values(self) -> list:
+        return list(self._snapshot().values())
+
+    def clear(self) -> None:
+        with self._cache._lock:
+            for name in [name for name in self._cache._entries if name[0] == self._kind]:
+                del self._cache._entries[name]
+
+
+class TapeCache:
+    """The compiled tapes of one architecture, shared by all its models.
+
+    One LRU over scoring entries (keyed by window geometry, dtype, fused
+    policy and parameter :func:`signature`) and train-step entries (batch
+    shape, dtype, fused policy, signature and optimizer hyper-parameters);
+    an entry is a :class:`Tape`, a :class:`repro.nn.jit_train.TrainTape`
+    or the negative-cache sentinel.  Each kind holds at most the
+    ``capacity`` its caller passes to :meth:`store`; a hit refreshes an
+    entry's position.  Frames never live here: scoring frames are per
+    thread on the tape, train frames belong to the trainer's step.
+
+    ``_lock`` is a leaf: it guards lookups and mutations, never a trace
+    or a replay.  Per-kind counters feed :func:`cache_stats`.
+    """
+
+    def __init__(self) -> None:
+        self._lock = threading.Lock()
+        self._entries: dict = {}
+        self._counts = {kind: dict.fromkeys(_COUNTERS, 0) for kind in _KINDS}
+
+    def view(self, kind: str) -> _Entries:
+        return _Entries(self, kind)
+
+    def lookup(self, kind: str, key):
+        """The entry for ``key`` (refreshing it), or None on a miss."""
+        with self._lock:
+            entry = self._entries.pop((kind, key), None)
+            if entry is not None:
+                self._entries[(kind, key)] = entry
+                self._counts[kind]["fallbacks" if entry is _UNSUPPORTED else "replays"] += 1
+            return entry
+
+    def store(self, kind: str, key, tape, capacity: int) -> int:
+        """Cache a traced ``tape`` (None negative-caches the key); returns
+        how many entries of ``kind`` it evicted."""
+        with self._lock:
+            counts = self._counts[kind]
+            counts["traces" if tape is not None else "fallbacks"] += 1
+            self._entries.pop((kind, key), None)
+            self._entries[(kind, key)] = tape if tape is not None else _UNSUPPORTED
+            names = [name for name in self._entries if name[0] == kind]
+            evicted = max(0, len(names) - capacity)
+            for name in names[:evicted]:
+                del self._entries[name]
+            counts["evictions"] += evicted
+            return evicted
+
+    def release_frames(self) -> None:
+        """Free the calling thread's frames of every cached scoring tape."""
+        for tape in self.view("score").values():
+            if tape is not _UNSUPPORTED:
+                tape.release_frame()
+
+    def _stats(self) -> dict:
+        with self._lock:
+            stats = {kind: {**counts, "resident": 0} for kind, counts in self._counts.items()}
+            for (kind, _), entry in self._entries.items():
+                stats[kind]["resident"] += entry is not _UNSUPPORTED
+            return stats
+
+
+#: Architecture key -> its live cache.  A model holds its cache strongly,
+#: so a cache lives exactly as long as its longest-lived model.
+_CACHES: "weakref.WeakValueDictionary" = weakref.WeakValueDictionary()
+#: Counters of caches already freed, so exported totals never go down.
+_RETIRED = {kind: dict.fromkeys(_COUNTERS, 0) for kind in _KINDS}
+_CACHES_LOCK = threading.RLock()
+
+
+def shared_cache(*key) -> TapeCache:
+    """The :class:`TapeCache` of the architecture ``key`` (created on first
+    use).  A model keeps the result as an attribute; ``key`` must fully
+    determine the traced graph apart from the parameter arrays — for
+    TFMAE, ``(type(model), n_features, config)``."""
+    with _CACHES_LOCK:
+        cache = _CACHES.get(key)
+        if cache is None:
+            cache = _CACHES[key] = TapeCache()
+            weakref.finalize(cache, _retire, cache._counts)
+        return cache
+
+
+def _retire(counts: dict) -> None:
+    with _CACHES_LOCK:
+        for kind, values in counts.items():
+            for name, value in values.items():
+                _RETIRED[kind][name] += value
+
+
+def cache_stats() -> dict:
+    """Process-wide tape-cache figures, read at call time.
+
+    ``{"caches": n, "score": {...}, "train": {...}}`` where each kind has
+    the counters ``traces``/``replays``/``evictions``/``fallbacks``
+    (totals over every cache this process has had, so they never go
+    down), ``resident`` (compiled tapes in live caches) and
+    ``frame_bytes`` (bytes held by live frames).
+    """
+    with _CACHES_LOCK:
+        caches = list(_CACHES.values())
+        stats = {kind: {**values, "resident": 0} for kind, values in _RETIRED.items()}
+    for cache in caches:
+        for kind, values in cache._stats().items():
+            for name, value in values.items():
+                stats[kind][name] += value
+    with _FRAME_LOCK:
+        for kind, nbytes in _FRAME_BYTES.items():
+            stats[kind]["frame_bytes"] = nbytes
+    return {"caches": len(caches), **stats}
 
 
 # ----------------------------------------------------------------------

@@ -23,7 +23,7 @@ same tape machinery to the full training step — ``loss`` forward,
    alive until exactly their backward step); parameter gradients get
    dedicated buffers that are re-bound to ``param.grad`` every replay.
 3. **Replay** — per ``(batch shape, fused policy)`` key, subsequent
-   batches run the generated function over a per-thread frame: zero
+   batches run the generated function over the trainer's frame: zero
    graph construction, zero closure dispatch, zero per-op allocation
    for buffered steps, and in-place parameter updates.
 
@@ -37,15 +37,20 @@ reads alive until that op's backward step.  So the compiled trajectory is
 final ``state_dict``, same RNG stream — resume, rollback and checkpoints
 stay exactly reproducible across the toggle.
 
-Guard semantics extend the scoring tape's: a tape replays only while
-every traced parameter still binds its traced array (and requires-grad
-flag) and — when the update phase is compiled — the optimiser still owns
-the traced moment buffers with the traced hyper-parameters.  Anything
-else (checkpoint restore, rollback, refit, ``to_dtype``) invalidates the
-cache and retraces.  Unsupported graphs (active dropout masks, ``max``
-in the backward, gradient flow into untraced leaves) soft-fail: the key
-is negative-cached and the interpreted path is used, consuming the same
-RNG.
+Binding semantics extend the scoring tape's: parameters *and* the Adam
+moment buffers are replay arguments (``P[k]``, ``M[j]``, ``V[j]``), so a
+tape holds no model state.  It lives in the architecture's shared
+:class:`repro.nn.jit.TapeCache`, keyed by batch shape, dtype, fused
+policy, the parameter :func:`~repro.nn.jit.signature` and the
+optimizer's type, hyper-parameters and parameter layout; a second fit,
+a refit, a checkpoint restore or a rollback of any model of the
+architecture replays it over the arrays bound at that moment.  ``lr``
+and the bias corrections are passed per call, so ``lr_backoff`` and the
+step count never split a key.  Frames stay with the :class:`TrainStep`
+(one trainer), so they are freed with it.  Unsupported graphs (active
+dropout masks, ``max`` in the backward, gradient flow into untraced
+leaves) soft-fail: the key is negative-cached and the interpreted path
+is used, consuming the same RNG.
 
 :func:`use_train_jit` / :func:`set_train_jit` / :func:`train_jit_enabled`
 are the switch (:data:`repro.nn.policy.TRAIN_JIT`, default on; see
@@ -63,7 +68,6 @@ from __future__ import annotations
 
 import os
 import sys
-import threading
 from functools import partial
 
 import numpy as np
@@ -72,15 +76,18 @@ from .dtype import default_dtype
 from .fused import KERNELS, fused_enabled
 from .jit import (
     _STEP,
+    _UNSUPPORTED,
     _Codegen,
     _compile,
     _COMPILERS,
     _forward_scratch,
     _liveness,
+    _new_frame,
     _Pool,
     _Record,
     _Sym,
     _TapeBuilder,
+    signature,
     TraceUnsupported,
 )
 from .optim import Adam
@@ -100,10 +107,6 @@ __all__ = [
 use_train_jit = TRAIN_JIT.use
 set_train_jit = TRAIN_JIT.set
 train_jit_enabled = TRAIN_JIT.get
-
-#: Negative-cache sentinel for specialization keys that hit a
-#: trace-unsupported op — the interpreted path is used without retracing.
-_UNSUPPORTED = object()
 
 _FILENAME = "<repro.nn.jit_train.TrainTape>"
 _NN_DIR = os.path.dirname(os.path.abspath(__file__))
@@ -168,9 +171,9 @@ class _TrainTapeBuilder(_TapeBuilder):
         index = self.tensor_step.get(id(parent))
         if index is not None:
             return ("s", index)
-        param = self._param_ids.get(id(parent.data))
-        if param is not None:
-            return ("p", param)
+        index = self._param_ids.get(id(parent.data))
+        if index is not None:
+            return ("p", index)
         raise TraceUnsupported(
             f"gradient flows into an untraced leaf (op {parent.op!r})"
         )
@@ -478,17 +481,20 @@ class TrainTape:
 
     The generated function runs in three resumable phases::
 
-        gen = fn(slots, frame, lr, bias1, bias2)
+        gen = fn(slots, frame, P, M, V, lr, bias1, bias2)
         loss, *metrics = next(gen)   # forward
         next(gen)                    # backward into planned grad buffers
         next(gen)                    # in-place Adam update (StopIteration)
 
-    Locals persist across ``yield``, so backward kernels read forward
-    activations directly; a single liveness plan spans all three phases,
-    releasing each activation buffer right after the backward step that
-    last reads it.  Parameter gradients get dedicated frame buffers
-    (re-bound to ``param.grad`` after the backward phase); everything
-    else shares the pooled frame exactly like the scoring tape.
+    ``P`` is the bound parameter arrays, ``M``/``V`` the optimizer's
+    moment buffers (empty without a compiled update).  Locals persist
+    across ``yield``, so backward kernels read forward activations
+    directly; a single liveness plan spans all three phases, releasing
+    each activation buffer right after the backward step that last reads
+    it.  Parameter gradients get dedicated frame buffers (re-bound to
+    ``param.grad`` after the backward phase); everything else shares the
+    pooled frame exactly like the scoring tape.  The frame itself comes
+    from :meth:`new_frame` and belongs to the caller.
     """
 
     def __init__(self, builder, loss_tensor, metric_tensors, optimizer):
@@ -608,10 +614,10 @@ class TrainTape:
                 if target is None:
                     return
                 tkind, payload = target
-                owner = steps[payload].out_data if tkind == "s" else payload.data
+                owner = (steps[payload].out_data if tkind == "s"
+                         else builder.params[payload].data)
                 tshape, tdtype = tuple(owner.shape), owner.dtype
-                key = (tkind, payload if tkind == "s" else id(payload))
-                buf_id = grad_buf.get(key)
+                buf_id = grad_buf.get(target)
                 if buf_id is None:
                     if tkind == "s":
                         buf_id = acquire(tshape, tdtype, pos)
@@ -619,12 +625,12 @@ class TrainTape:
                         # Never pooled: it outlives the call as param.grad.
                         buf_id = pool.new((tshape, np.dtype(tdtype)))
                         graded_params.append((payload, buf_id))
-                    grad_buf[key] = buf_id
+                    grad_buf[target] = buf_id
                 if step.out_data.dtype != tdtype:
                     raise TraceUnsupported("mixed-dtype gradient accumulation")
                 T = codegen.buf(buf_id)
-                first = key not in initialized
-                initialized.add(key)
+                first = target not in initialized
+                initialized.add(target)
                 if callable(recipe):
                     if raw_shape == tshape and first:
                         for line in recipe(T) or ():
@@ -654,24 +660,29 @@ class TrainTape:
         tag_to("backward", None, None)
 
         # ---- phase 3: in-place Adam update ----
-        graded_ids = frozenset(id(param) for param, _ in graded_params)
+        graded = frozenset(k for k, _ in graded_params)
+        index_of = {id(param): k for k, param in enumerate(builder.params)}
+        layout = [index_of.get(id(param)) for param in optimizer.parameters]
         has_update = isinstance(optimizer, Adam)
-        opt_guards = []
         if has_update:
             base = n + 1 + len(items)
             lit = codegen.lit
             clip = optimizer.grad_clip
             decay = optimizer.weight_decay
             beta1, beta2 = optimizer.beta1, optimizer.beta2
-            for j, param in enumerate(optimizer.parameters):
-                if id(param) not in graded_ids:
+            for j, k in enumerate(layout):
+                if k not in graded:
                     continue
+                data = builder.params[k].data
+                shape, dtype = data.shape, data.dtype
+                if any(moment[j].shape != shape or moment[j].dtype != dtype
+                       for moment in (optimizer._m, optimizer._v)):
+                    raise TraceUnsupported("an Adam moment differs from its parameter")
                 pos = base + j
-                grad = codegen.buf(grad_buf[("p", id(param))])
-                p_ = codegen.const(param.data)
-                m_ = codegen.const(optimizer._m[j])
-                v_ = codegen.const(optimizer._v[j])
-                shape, dtype = param.data.shape, param.data.dtype
+                grad = codegen.buf(grad_buf[("p", k)])
+                p_ = codegen.bound("p", "P", k)
+                m_ = codegen.bound("m", "M", j)
+                v_ = codegen.bound("v", "V", j)
                 a_id = acquire(shape, dtype, pos)
                 b_id = acquire(shape, dtype, pos)
                 A, B = codegen.buf(a_id), codegen.buf(b_id)
@@ -701,80 +712,53 @@ class TrainTape:
                 tag_to("update", f"adam[{j}]", None)
                 pool.release(a_id, pos + 1)
                 pool.release(b_id, pos + 1)
-                opt_guards.append((j, param, optimizer._m[j], optimizer._v[j]))
 
         # ---- assembly ----
         frame_lines = [
             f"    f{buf_id} = frame[{buf_id}]"
             for buf_id in sorted(codegen.used_buffers)
         ]
-        self._consts = tuple(codegen.consts)
+        prologue = codegen.slot_lines + codegen.bound_lines + frame_lines
         self.source, self._fn = _compile(
-            "_train_step", "slots, frame, lr, bias1, bias2",
-            codegen.slot_lines + frame_lines + codegen.lines,
-            {"np": np, "C": self._consts, "ub": _unbroadcast}, _FILENAME)
+            "_train_step", "slots, frame, P, M, V, lr, bias1, bias2",
+            prologue + codegen.lines,
+            {"np": np, "C": tuple(codegen.consts), "ub": _unbroadcast}, _FILENAME)
 
-        self._tls = threading.local()
         self._frame_specs = tuple(pool.specs)
         self._tags = tuple(tags)
-        # Code lines start after the def line, the slot loads and the
-        # frame loads: lineno -> tag index.
-        self._tag_offset = 2 + len(codegen.slot_lines) + len(frame_lines)
+        # Code lines start after the def line and the prologue:
+        # lineno -> tag index.
+        self._tag_offset = 2 + len(prologue)
         self.metric_names = tuple(metric_names)
+        #: (parameter index, gradient buffer) per graded parameter, and
+        #: the optimizer slots whose parameter gets no gradient.
         self._param_grads = tuple(graded_params)
-        self._graded_ids = graded_ids
+        self._ungraded = tuple(j for j, k in enumerate(layout) if k not in graded)
         self._has_update = has_update
-        self._guards = tuple(
-            (param, data, param.requires_grad) for param, data in builder.guards
-        )
-        self._opt_guards = tuple(opt_guards)
-        self._opt_hypers = (
-            (optimizer.beta1, optimizer.beta2, optimizer.eps,
-             optimizer.weight_decay, optimizer.grad_clip,
-             len(optimizer.parameters))
-            if has_update else None
-        )
         #: step/buffer counts, exposed for tests and diagnostics.
         self.num_steps = n
         self.num_backward = len(items)
         self.num_buffers = len(pool.specs)
 
-    def guards_ok(self, optimizer) -> bool:
-        """True while the tape may replay for this model + optimizer.
+    def new_frame(self) -> list:
+        """A fresh buffer frame for :attr:`_fn`; the caller owns it."""
+        return _new_frame("train", [np.empty(shape, dtype)
+                                    for shape, dtype in self._frame_specs])
 
-        Checks parameter array identity and requires-grad flags (as the
-        scoring tape does) plus — when the update phase is compiled —
-        that the optimizer still owns the traced moment buffers with the
-        traced hyper-parameters.  ``lr`` and the bias corrections are
-        passed per call, so ``lr_backoff`` and step count never
-        invalidate a tape.
-        """
-        for param, data, requires in self._guards:
-            if param.data is not data or param.requires_grad != requires:
-                return False
+    def start(self, slots, frame, params, optimizer):
+        """The step generator over ``frame``, binding ``params`` (a list
+        of the traced :func:`~repro.nn.jit.signature`) and, with a
+        compiled update, ``optimizer``'s moments, ``lr`` and bias
+        corrections for its next step."""
+        moments, lr = ((), ()), getattr(optimizer, "lr", 0.0)
+        bias1 = bias2 = 1.0
         if self._has_update:
-            if not isinstance(optimizer, Adam):
-                return False
-            beta1, beta2, eps, decay, clip, count = self._opt_hypers
-            if (optimizer.beta1 != beta1 or optimizer.beta2 != beta2
-                    or optimizer.eps != eps or optimizer.weight_decay != decay
-                    or optimizer.grad_clip != clip
-                    or len(optimizer.parameters) != count):
-                return False
-            for j, param, m, v in self._opt_guards:
-                if (optimizer.parameters[j] is not param
-                        or optimizer._m[j] is not m
-                        or optimizer._v[j] is not v):
-                    return False
-        return True
-
-    def _thread_frame(self):
-        frame = getattr(self._tls, "frame", None)
-        if frame is None:
-            frame = self._tls.frame = [
-                np.empty(shape, dtype) for shape, dtype in self._frame_specs
-            ]
-        return frame
+            moments = optimizer._m, optimizer._v
+            step = optimizer._step + 1
+            bias1 = 1.0 - optimizer.beta1 ** step
+            bias2 = 1.0 - optimizer.beta2 ** step
+        return self._fn(slots, frame, [p.data for p in params], *moments,
+                        lr, bias1, bias2)
 
     def _advance(self, gen, phase, stop_ok=False):
         """Run the generator one phase, mapping failures back to their op."""
@@ -862,10 +846,10 @@ class _TracingHandle(_InterpretedHandle):
     trajectory never depends on whether the trace succeeds.
     """
 
-    def __init__(self, owner, key, model, slots, optimizer):
+    def __init__(self, owner, key, model, slots, params, optimizer):
         self._owner = owner
         self._key = key
-        self._builder = _TrainTapeBuilder(slots, model.parameters())
+        self._builder = _TrainTapeBuilder(slots, params)
         with op_hook(self._builder):
             loss, self._metric_tensors = model._loss_graph(slots)
         self._start(optimizer, loss, self._metric_tensors)
@@ -891,18 +875,12 @@ class _CompiledHandle:
 
     compiled = True
 
-    def __init__(self, tape, slots, optimizer):
+    def __init__(self, tape, frame, slots, params, optimizer):
         self._tape = tape
+        self._frame = frame
+        self._params = params
         self._optimizer = optimizer
-        if tape._has_update:
-            step = optimizer._step + 1
-            bias1 = 1.0 - optimizer.beta1 ** step
-            bias2 = 1.0 - optimizer.beta2 ** step
-        else:
-            bias1 = bias2 = 1.0
-        self._frame = tape._thread_frame()
-        self._gen = tape._fn(slots, self._frame,
-                             getattr(optimizer, "lr", 0.0), bias1, bias2)
+        self._gen = tape.start(slots, frame, params, optimizer)
         out = tape._advance(self._gen, "forward")
         self.loss_value = float(out[0])
         self.metrics = {
@@ -914,11 +892,10 @@ class _CompiledHandle:
         tape = self._tape
         tape._advance(self._gen, "backward")
         frame = self._frame
-        for param, buf_id in tape._param_grads:
-            param.grad = frame[buf_id]
-        for param in self._optimizer.parameters:
-            if id(param) not in tape._graded_ids:
-                param.grad = None
+        for k, buf_id in tape._param_grads:
+            self._params[k].grad = frame[buf_id]
+        for j in tape._ungraded:
+            self._optimizer.parameters[j].grad = None
 
     def apply_update(self):
         tape = self._tape
@@ -931,17 +908,33 @@ class _CompiledHandle:
             self._optimizer.step()
 
 
+def _optimizer_key(optimizer, params) -> tuple:
+    """What a train tape bakes from the optimizer: its type, which bound
+    parameter each of its slots updates, and Adam's hyper-parameters and
+    moment dtypes (``lr`` and the step count are replay arguments)."""
+    index_of = {id(param): k for k, param in enumerate(params)}
+    layout = tuple(index_of.get(id(param)) for param in optimizer.parameters)
+    if not isinstance(optimizer, Adam):
+        return (type(optimizer), layout)
+    return (type(optimizer), layout, optimizer.beta1, optimizer.beta2, optimizer.eps,
+            optimizer.weight_decay, optimizer.grad_clip,
+            tuple(m.dtype for m in optimizer._m), tuple(v.dtype for v in optimizer._v))
+
+
 class TrainStep:
     """Dispatches train steps to compiled tapes, specializing per batch.
 
-    One instance lives on each trainer, keyed by
-    ``(batch shape, dtype, fused policy)`` — the config and compute
-    dtype are fixed per model, so together this matches the scoring
-    JIT's specialization.  Unsupported keys are negative-cached; stale
-    guards (checkpoint restore, rollback, refit) clear the cache and
-    retrace.  ``begin`` runs the model's loss prelude exactly once per
-    batch on every path, so the RNG stream is identical whether a batch
-    interprets, traces or replays.
+    One instance lives on each trainer.  Its tapes live in the model's
+    architecture-wide :class:`repro.nn.jit.TapeCache` (``_tapes`` is the
+    view of its train entries), keyed by ``(batch shape, dtype, fused
+    policy, parameter signature, optimizer key)``, so every trainer of
+    the architecture — a second fit, a refit, a restored checkpoint —
+    replays them with its own parameters and moments bound.  At most
+    ``cache_size`` train entries stay cached; unsupported keys are
+    negative-cached.  The frames the tapes replay over belong to this
+    step and die with it.  ``begin`` runs the model's loss prelude
+    exactly once per batch on every path, so the RNG stream is identical
+    whether a batch interprets, traces or replays.
     """
 
     def __init__(self, model, optimizer, enabled=True, cache_size=8):
@@ -949,7 +942,11 @@ class TrainStep:
         self.optimizer = optimizer
         self.enabled = bool(enabled)
         self.cache_size = int(cache_size)
-        self._tapes = {}
+        self._cache = model._tape_cache
+        self._tapes = self._cache.view("train")
+        #: key -> (tape, frame) for the tapes this step has replayed and
+        #: the cache still holds.
+        self._frames = {}
         #: diagnostics for the benches: tape-LRU evictions, trace count,
         #: compiled replays, interpreted fallbacks.
         self.evictions = 0
@@ -979,27 +976,42 @@ class TrainStep:
                 self.fallbacks += 1
                 return _InterpretedHandle(model, slots, self.optimizer)
             arr = np.asarray(windows)
-            key = (arr.shape, str(arr.dtype), fused_enabled())
-            tape = self._tapes.get(key)
-            if tape is not None:
-                self._tapes[key] = self._tapes.pop(key)  # refresh LRU position
+            params = model._params
+            key = (arr.shape, str(arr.dtype), fused_enabled(), signature(params),
+                   _optimizer_key(self.optimizer, params))
+            tape = self._cache.lookup("train", key)
             if tape is _UNSUPPORTED:
                 self.fallbacks += 1
                 return _InterpretedHandle(model, slots, self.optimizer)
             if tape is not None:
-                if tape.guards_ok(self.optimizer):
-                    self.replays += 1
-                    return _CompiledHandle(tape, slots, self.optimizer)
-                self._tapes.clear()
-            return _TracingHandle(self, key, model, slots, self.optimizer)
+                self.replays += 1
+                return _CompiledHandle(tape, self._frame(key, tape), slots, params,
+                                       self.optimizer)
+            return _TracingHandle(self, key, model, slots, params, self.optimizer)
+
+    def _frame(self, key, tape):
+        held = self._frames.get(key)
+        if held is not None and held[0] is tape:
+            return held[1]
+        held = None
+        self._drop_stale_frames()  # a re-traced key's old frame goes too
+        frame = tape.new_frame()
+        self._frames[key] = (tape, frame)
+        return frame
+
+    def _drop_stale_frames(self):
+        """Free the frames of tapes the shared cache no longer holds (evicted
+        by this step or by another trainer of the architecture)."""
+        cached = self._tapes._snapshot()
+        for key, (tape, _) in list(self._frames.items()):
+            if cached.get(key) is not tape:
+                del self._frames[key]
 
     def _store(self, key, tape):
         if tape is None:
-            self._tapes[key] = _UNSUPPORTED
             self.fallbacks += 1
         else:
-            self._tapes[key] = tape
             self.traces += 1
-        while len(self._tapes) > self.cache_size:
-            self._tapes.pop(next(iter(self._tapes)))
-            self.evictions += 1
+        self.evictions += self._cache.store("train", key, tape, self.cache_size)
+        if self._frames:
+            self._drop_stale_frames()

@@ -165,6 +165,18 @@ class MetricsRegistry:
     def __init__(self) -> None:
         self._lock = threading.Lock()
         self._metrics: dict[str, Counter | Gauge | Histogram] = {}
+        self._collectors: list = []
+
+    def add_collector(self, collect) -> None:
+        """Run ``collect(self)`` at the start of every :meth:`snapshot`.
+
+        For figures kept elsewhere and read at scrape time: ``collect``
+        sets the registry's counters and gauges from them.  Adding the
+        same collector twice keeps one.
+        """
+        with self._lock:
+            if collect not in self._collectors:
+                self._collectors.append(collect)
 
     def _get_or_create(self, key: str, factory, kind: type):
         with self._lock:
@@ -200,6 +212,10 @@ class MetricsRegistry:
         ``{"counters": {key: value}, "gauges": {key: value},
         "histograms": {key: {count, sum, mean, min, max, p50, p95, p99}}}``
         """
+        with self._lock:
+            collectors = list(self._collectors)
+        for collect in collectors:
+            collect(self)
         counters: dict[str, float] = {}
         gauges: dict[str, float] = {}
         histograms: dict[str, dict[str, float]] = {}

@@ -25,7 +25,8 @@ Endpoints
     state, quarantined artifacts, degraded flag, queue depth.
 ``GET /metrics``
     JSON snapshot of the :class:`~repro.serve.metrics.MetricsRegistry`
-    (counters, gauges, latency histograms with p50/p95/p99).
+    (counters, gauges, latency histograms with p50/p95/p99), including
+    this process's JIT tape-cache figures read at scrape time.
 ``GET /models``
     Registry listing: every model name with its versions.
 
@@ -46,6 +47,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 import numpy as np
 
 from ..analysis.lockcheck import named_lock
+from ..nn import jit
 from .errors import (
     CircuitOpen,
     ModelNotFound,
@@ -76,6 +78,27 @@ def _jsonable(value):
     if isinstance(value, (list, tuple)):
         return [_jsonable(item) for item in value]
     return value
+
+
+#: Serialises :func:`_export_tape_caches`, whose counters move by deltas.
+_EXPORT_LOCK = named_lock("serve.metrics.tape_export")
+
+
+def _export_tape_caches(metrics: MetricsRegistry) -> None:
+    """Copy :func:`repro.nn.jit.cache_stats` into ``metrics`` (a scrape-time
+    collector): per kind (``score``/``train``) the tape traces, replays,
+    evictions and fallbacks as counters, resident tapes and frame bytes as
+    gauges, plus the number of live architecture caches."""
+    stats = jit.cache_stats()
+    with _EXPORT_LOCK:
+        metrics.gauge("jit_tape_caches").set(stats.pop("caches"))
+        for kind, values in stats.items():
+            for name in ("traces", "replays", "evictions", "fallbacks"):
+                counter = metrics.counter(f"jit_tape_{name}_total", kind=kind)
+                # A cache freed mid-read can make a total lag for one scrape.
+                counter.inc(max(0.0, values[name] - counter.value))
+            metrics.gauge("jit_tapes_resident", kind=kind).set(values["resident"])
+            metrics.gauge("jit_frame_bytes", kind=kind).set(values["frame_bytes"])
 
 
 class _BadRequest(ServeError):
@@ -267,6 +290,7 @@ class InferenceServer:
     ):
         self.registry = registry
         self.metrics = metrics if metrics is not None else MetricsRegistry()
+        self.metrics.add_collector(_export_tape_caches)
         self.batcher = MicroBatcher(
             detector_for=self._detector_for,
             max_batch_size=max_batch_size,

@@ -498,7 +498,7 @@ class TestKernelTapeEquivalence:
             for batch in (4, 2, 7):
                 slots = _kernel_case(op, rng, batch, dtype)[0]
                 expected = forward(slots).data
-                replayed = tape.replay(slots)
+                replayed = tape.replay(slots, params.values())
                 assert replayed.dtype == expected.dtype == dtype
                 assert np.array_equal(replayed, expected)
 
@@ -524,13 +524,14 @@ class TestKernelTapeEquivalence:
         assert op in {builder.steps[b].op for b in builder.backward_items}
         expected = {name: leaf.grad.copy() for name, leaf in leaves.items()}
 
-        tape = TrainTape(builder, loss, {}, Adam(list(leaves.values())))
-        frame = tape._thread_frame()
-        gen = tape._fn(slots, frame, 0.0, 1.0, 1.0)
+        optimizer = Adam(list(leaves.values()))
+        tape = TrainTape(builder, loss, {}, optimizer)
+        frame = tape.new_frame()
+        gen = tape.start(slots, frame, builder.params, optimizer)
         (compiled_loss,) = tape._advance(gen, "forward")
         assert np.array_equal(compiled_loss, loss.data)
         tape._advance(gen, "backward")
-        grads = {id(param): frame[buf_id] for param, buf_id in tape._param_grads}
+        grads = {id(builder.params[k]): frame[buf_id] for k, buf_id in tape._param_grads}
         assert len(grads) == len(leaves)
         for name, leaf in leaves.items():
             assert grads[id(leaf)].dtype == dtype
@@ -557,12 +558,13 @@ def test_broadcast_attention_train_tape_gradients_bitwise():
         loss.backward()
     expected = {name: leaf.grad.copy() for name, leaf in leaves.items()}
 
-    tape = TrainTape(builder, loss, {}, Adam(list(leaves.values())))
-    frame = tape._thread_frame()
-    gen = tape._fn(slots, frame, 0.0, 1.0, 1.0)
+    optimizer = Adam(list(leaves.values()))
+    tape = TrainTape(builder, loss, {}, optimizer)
+    frame = tape.new_frame()
+    gen = tape.start(slots, frame, builder.params, optimizer)
     tape._advance(gen, "forward")
     tape._advance(gen, "backward")
-    grads = {id(param): frame[buf_id] for param, buf_id in tape._param_grads}
+    grads = {id(builder.params[k]): frame[buf_id] for k, buf_id in tape._param_grads}
     for name, leaf in leaves.items():
         assert grads[id(leaf)].shape == leaf.shape
         assert np.array_equal(grads[id(leaf)], expected[name]), name

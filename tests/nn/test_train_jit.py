@@ -178,6 +178,10 @@ class TestToggles:
 
 class TestGuardsAndCache:
     def test_rebound_parameter_invalidates_and_retraces(self):
+        """Rebinding a parameter's array (what a checkpoint restore or a
+        reload does) keeps the cached tapes: the next fit replays them
+        over the new array, bitwise the interpreted fit from the same
+        weights and optimizer state."""
         config = _config(train_jit=True, epochs=1)
         model = TFMAEModel(2, config)
         trainer = TFMAETrainer(model, config)
@@ -185,13 +189,22 @@ class TestGuardsAndCache:
         step = trainer.train_step
         traces_before = step.traces
         assert step._tapes
-        # Rebind one parameter's array (what a checkpoint restore or a
-        # dtype migration does): every cached tape must be discarded and
-        # the next fit must retrace, not replay stale buffers.
+        reference = TFMAEModel(2, config)
+        reference.load_state_dict(model.state_dict())
+        reference_trainer = TFMAETrainer(reference, config)
+        reference_trainer.optimizer.load_state_dict(trainer.optimizer.state_dict())
+
         param = next(iter(model.parameters()))
         param.data = param.data.copy()
-        trainer.fit(_series())
-        assert step.traces > traces_before
+        log = trainer.fit(_series())
+        assert step.traces == traces_before
+        with use_train_jit(False):
+            reference_log = reference_trainer.fit(_series())
+        tail = len(reference_log.losses)
+        assert np.array_equal(log.losses[-tail:], reference_log.losses)
+        state, reference_state = model.state_dict(), reference.state_dict()
+        for key in state:
+            assert np.array_equal(state[key], reference_state[key]), key
 
     def test_lru_eviction_counts(self):
         config = _config(train_jit=True, jit_cache_size=1, epochs=1)
@@ -220,14 +233,14 @@ class TestCompiledStepError:
             loss = (out * out).sum()
             optimizer.zero_grad()
             loss.backward()
-        return TrainTape(builder, loss, {}, optimizer), slots
+        return TrainTape(builder, loss, {}, optimizer), slots, [weight], optimizer
 
     def test_failure_names_op_and_site(self):
-        tape, slots = self._tape()
+        tape, slots, params, optimizer = self._tape()
         frame = [np.empty(shape, dtype) for shape, dtype in tape._frame_specs]
         # Corrupt the first planned buffer so the matmul's out= raises.
         frame[0] = np.empty((1, 1), dtype=frame[0].dtype)
-        gen = tape._fn(slots, frame, 1e-3, 1.0, 1.0)
+        gen = tape.start(slots, frame, params, optimizer)
         with pytest.raises(CompiledStepError) as excinfo:
             tape._advance(gen, "forward")
         error = excinfo.value

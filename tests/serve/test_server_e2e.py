@@ -223,3 +223,28 @@ class TestErrorMapping:
         missing = [value for key, value in snapshot["counters"].items()
                    if "status=404" in key and "model=ghost" in key]
         assert sum(missing) > 0
+
+
+class TestTapeCacheMetrics:
+    def test_metrics_export_tape_caches(self, served, sine_series):
+        window = {"model": "tfmae", "window": sine_series[:50].tolist()}
+        _post(served.url, "/score", window)
+        _post(served.url, "/score", window)
+        _, snapshot = _get(served.url, "/metrics")
+        counters, gauges = snapshot["counters"], snapshot["gauges"]
+        for kind in ("score", "train"):
+            for name in ("traces", "replays", "evictions", "fallbacks"):
+                assert f"jit_tape_{name}_total{{kind={kind}}}" in counters
+            assert f"jit_tapes_resident{{kind={kind}}}" in gauges
+            assert f"jit_frame_bytes{{kind={kind}}}" in gauges
+        assert gauges["jit_tape_caches"] >= 1
+        assert counters["jit_tape_traces_total{kind=score}"] >= 1
+        assert counters["jit_tape_traces_total{kind=train}"] >= 1  # the fixture's fit
+        assert gauges["jit_tapes_resident{kind=score}"] >= 1
+        assert gauges["jit_frame_bytes{kind=score}"] > 0  # the scoring worker's frame
+
+        # Read at scrape time: one more scored window moves the replays.
+        replays = counters["jit_tape_replays_total{kind=score}"]
+        _post(served.url, "/score", window)
+        _, again = _get(served.url, "/metrics")
+        assert again["counters"]["jit_tape_replays_total{kind=score}"] > replays
